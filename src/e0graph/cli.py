@@ -26,9 +26,9 @@ from .coxeter import (
     parse_word,
 )
 
-# direct commands on groups at least this large ask for --heavy first
+# the excess histogram and the coset walk visit every element, or every
+# coset; on groups at least this large they ask for --heavy first
 HEAVY_ORDER = 30_000
-HEAVY_LABELS = {"H4", "E6"}
 
 
 def load_group(text, radius=None):
@@ -62,10 +62,9 @@ def _require_finite(group, hint):
 
 
 def _heavy_gate(group, args):
-    label = group.spec.label if group.spec else ""
     order = group.spec.order() if group.spec else None
-    big = label in HEAVY_LABELS or (order is not None and order >= HEAVY_ORDER)
-    if big and not getattr(args, "heavy", False):
+    big = order is not None and order >= HEAVY_ORDER
+    if big and not args.heavy:
         raise SpecError(
             f"{group.label} is a large group (order {order}); pass --heavy to proceed"
         )
@@ -85,7 +84,6 @@ def _write_or_print(text, out):
 def cmd_valency(args):
     group = load_group(args.group)
     _require_finite(group, "use `ball` with --radius for ball-restricted data")
-    _heavy_gate(group, args)
     dist = gr.valency_distribution(gr.build_graph(group))
     if args.format == "csv":
         _write_or_print(dist.to_csv(), args.out)
@@ -99,7 +97,6 @@ def cmd_valency(args):
 def cmd_graph(args):
     group = load_group(args.group)
     _require_finite(group, "use `ball` with --radius instead")
-    _heavy_gate(group, args)
     g = gr.build_graph(group)
     print(f"group {group.label}: {len(g)} involutions, {g.edge_count()} edges")
     print(f"valency distribution: {gr.valency_distribution(g)}")
@@ -127,7 +124,6 @@ def cmd_export(args):
         ball = inf.enumerate_ball(group, args.radius)
         _write_or_print(json.dumps(_ball_graph_dict(ball), indent=2), args.out)
         return 0
-    _heavy_gate(group, args)
     _export_graph(gr.build_graph(group), args.format, args.out)
     return 0
 
@@ -135,7 +131,6 @@ def cmd_export(args):
 def cmd_diameter(args):
     group = load_group(args.group)
     _require_finite(group, "use `ball --evidence` for diameter evidence")
-    _heavy_gate(group, args)
     g = gr.build_graph(group)
     comps, hat = gr.components_and_diameter(g)
     sizes = sorted(len(c) for c in comps)
@@ -147,7 +142,6 @@ def cmd_diameter(args):
 def cmd_pendant(args):
     group = load_group(args.group)
     _require_finite(group, "pendant analysis needs a finite group")
-    _heavy_gate(group, args)
     rep = gr.pendant_report(group)
     print(f"group {group.label}: {len(rep.computed)} pendant elements")
     for e in sorted(rep.computed, key=lambda e: e.sort_key()):
@@ -159,11 +153,11 @@ def cmd_pendant(args):
 def cmd_excess(args):
     group = load_group(args.group)
     _require_finite(group, "excess is defined over finite groups here")
-    _heavy_gate(group, args)
     if args.word is not None:
         w = group.element_from_word(parse_word(args.word))
         print(f"excess({format_word(w.word)}) = {gr.excess(group, w)}")
         return 0
+    _heavy_gate(group, args)
     from collections import Counter
 
     hist = Counter(gr.excess(group, w) for w in group.elements())
@@ -250,13 +244,13 @@ def cmd_cosets(args):
 
 
 def cmd_verify(args):
-    report = ver.run_check(args.check, heavy=args.heavy)
+    report = ver.run_check(args.check)
     print(report.summary())
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report.to_json(indent=2) + "\n")
         print(f"wrote {args.out}")
-    return 0 if report.status in ("pass", "skipped") else 1
+    return 0 if report.ok else 1
 
 
 def build_parser():
@@ -274,11 +268,13 @@ def build_parser():
     def group_opts(sp, radius=False):
         sp.add_argument("-g", "--group", required=True,
                         help="group label or JSON matrix file")
-        sp.add_argument("--heavy", action="store_true",
-                        help="allow large enumerations (H4, E6, D7, ...)")
         if radius:
             sp.add_argument("--radius", type=int, default=None,
                             help="ball radius for infinite groups")
+
+    def heavy_opt(sp, what):
+        sp.add_argument("--heavy", action="store_true",
+                        help=f"allow {what} on groups of order >= {HEAVY_ORDER}")
 
     sp = add("valency", cmd_valency, "print the valency distribution")
     group_opts(sp)
@@ -304,6 +300,7 @@ def build_parser():
     sp = add("excess", cmd_excess, "excess of a word, or the group histogram")
     group_opts(sp)
     sp.add_argument("--word", default=None, help="word like [1,2,1] or [1..4]")
+    heavy_opt(sp, "the histogram")
 
     sp = add("delta", cmd_delta, "the commuting-reflections valency recursion")
     sp.add_argument("m", type=int)
@@ -327,11 +324,10 @@ def build_parser():
     sp.add_argument("--side", choices=("right", "left"), default="right")
     sp.add_argument("--classify", action="store_true",
                     help="classify D_n representatives (J = R minus r_n)")
+    heavy_opt(sp, "the coset walk")
 
     sp = add("verify", cmd_verify, "run a named verification check")
     sp.add_argument("check", choices=sorted(ver.CHECKS))
-    sp.add_argument("--heavy", action="store_true",
-                    help="include the H4 and E6 rows")
     sp.add_argument("--out", default=None, help="write the JSON report here")
 
     return p

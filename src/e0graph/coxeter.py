@@ -598,6 +598,8 @@ class CoxeterGroup(GeometricGroup):
         self.pos_count = P
         self.identity_perm = bytes(range(2 * P))
         self._pad = bytes(256 - 2 * P)
+        self._neg = bytes(range(P, 2 * P))  # negative-root indices
+        self._nonsimple = bytes(range(self.rank, 256))
         self.gen_perm = {}
         self.gen_table = {}  # padded to 256 for bytes.translate
         for i in self.generators:
@@ -612,7 +614,13 @@ class CoxeterGroup(GeometricGroup):
             self.gen_perm[i] = bytes(perm)
             self.gen_table[i] = bytes(perm) + self._pad
         self._elements = None
+        self._involution_perms = None
         self._w0 = None
+        lw0 = self.longest_element().length
+        if lw0 != P:
+            raise ToleranceError(
+                f"l(w0) = {lw0} but the root system has {P} positive roots"
+            )
 
     @classmethod
     def from_spec(cls, spec):
@@ -643,15 +651,22 @@ class CoxeterGroup(GeometricGroup):
         return bits
 
     def _length(self, a):
+        """|N(a)|: the positive roots a sends negative."""
         P = self.pos_count
-        return sum(1 for p in range(P) if a[p] >= P)
+        return P - len(a[:P].translate(None, self._neg))
+
+    def _left_descents(self, a):
+        """0-based indices of the left descents of a, as bytes.
+
+        s is a left descent iff a^-1 sends alpha_s negative, i.e. iff a maps
+        some negative root onto alpha_s: the simple indices among a[P:].
+        """
+        return a[self.pos_count:].translate(None, self._nonsimple)
 
     def _lexmin_word(self, a):
         out = []
         while a != self.identity_perm:
-            ia = self._inv(a)
-            P = self.pos_count
-            s = next(i for i in self.generators if ia[i - 1] >= P)
+            s = min(self._left_descents(a)) + 1
             out.append(s)
             a = a.translate(self.gen_table[s])  # left-multiply by r_s
         return tuple(out)
@@ -699,8 +714,7 @@ class CoxeterGroup(GeometricGroup):
         """(left, right) descent sets as sets of generator indices."""
         P = self.pos_count
         right = {i for i in self.generators if w.perm[i - 1] >= P}
-        iw = self._inv(w.perm)
-        left = {i for i in self.generators if iw[i - 1] >= P}
+        left = {i + 1 for i in self._left_descents(w.perm)}
         return left, right
 
     def longest_element(self):
@@ -744,6 +758,48 @@ class CoxeterGroup(GeometricGroup):
     def elements(self):
         return [Element(self, p) for p in self.enumerate_perms()]
 
+    def involution_perms(self, limit=None):
+        """The non-identity involutions, as raw permutations (cached).
+
+        Walks up from the identity with the ascending twisted-involution step
+        (Richardson-Springer): for an involution x and a generator s with
+        l(sx) > l(x), the next involution is sx when s and x commute and sxs
+        otherwise.  Every involution is reached, and nothing else is visited.
+        An ascent s commutes with x exactly when x fixes alpha_s.
+
+        With a `limit`, raises SpecError as soon as the walk finds more than
+        `limit` involutions, so a group too large for the caller is refused
+        without being walked whole.
+        """
+        too_many = f"{self.label} has more than {limit} involutions"
+        perms = self._involution_perms
+        if perms is None:
+            P = self.pos_count
+            cap = math.inf if limit is None else limit + 1  # seen holds 1 too
+            seen = {self.identity_perm}
+            frontier = [self.identity_perm]
+            while frontier:
+                nxt = []
+                for x in frontier:
+                    for i in self.generators:
+                        image = x[i - 1]
+                        if image >= P:  # descent: sx is shorter
+                            continue
+                        y = x.translate(self.gen_table[i])  # sx
+                        if image != i - 1:
+                            y = self.gen_perm[i].translate(y + self._pad)  # sxs
+                        if y not in seen:
+                            seen.add(y)
+                            nxt.append(y)
+                            if len(seen) > cap:
+                                raise SpecError(too_many)
+                frontier = nxt
+            seen.discard(self.identity_perm)
+            self._involution_perms = perms = seen
+        elif limit is not None and len(perms) > limit:
+            raise SpecError(too_many)
+        return perms
+
     # -- parabolic subgroups and coset representatives -------------------------
 
     def _check_parabolic(self, J):
@@ -766,12 +822,11 @@ class CoxeterGroup(GeometricGroup):
     def parabolic_factorize(self, w, J):
         """The unique (y, x) with w = y x, y in W_J, x in X_J; lengths add."""
         J = self._check_parabolic(J)
-        P = self.pos_count
         x = w.perm
         y_letters = []
         while True:
-            ix = self._inv(x)
-            s = next((j for j in sorted(J) if ix[j - 1] >= P), None)
+            desc = self._left_descents(x)
+            s = min((j for j in J if j - 1 in desc), default=None)
             if s is None:
                 break
             y_letters.append(s)
@@ -799,8 +854,8 @@ class CoxeterGroup(GeometricGroup):
                         y = self.gen_perm[i].translate(xt)
                         if y in reps:
                             continue
-                        iy = self._inv(y)
-                        if all(iy[j - 1] < P for j in J):
+                        desc = self._left_descents(y)
+                        if not any(j - 1 in desc for j in J):
                             reps.add(y)
                             nxt.append(y)
             frontier = nxt
@@ -836,9 +891,8 @@ class CoxeterGroup(GeometricGroup):
         J = frozenset(range(1, n))
         if x.is_identity():
             raise ValueError("x must be a non-identity coset representative")
-        ix = self._inv(x.perm)
-        P = self.pos_count
-        if any(ix[j - 1] >= P for j in J):
+        desc = self._left_descents(x.perm)
+        if any(j - 1 in desc for j in J):
             raise ValueError("x is not a minimal right coset representative for J")
         K = frozenset(range(1, n - 1))
         lx = x.length

@@ -1,9 +1,16 @@
 """The excess-zero graph on the non-identity involutions of a finite group.
 
-Vertices are the involutions; x and y are joined exactly when
-l(xy) = l(x) + l(y), which happens iff N(x) and N(y) are disjoint.  N-sets
-are packed into integer bitsets over the positive-root indices, so building
-the graph is a pairwise AND over a vector of machine words.
+Vertices are the involutions, produced by the involution walk of
+`CoxeterGroup.involution_perms` (the rest of the group is never visited) and
+ordered by (length, lexmin word); vertex ids in the exports follow that
+order.  x and y are joined exactly when l(xy) = l(x) + l(y), which happens
+iff N(x) and N(y) are disjoint.  N-sets are packed into integer bitsets over
+the positive-root indices, so building the graph is a pairwise AND over a
+vector of machine words.  The adjacency is one V-bit row per vertex.  The
+walk stops, and the group is refused, once it finds more involutions than
+`vertex_limit` allows: V^2/8 adjacency bytes within `ADJACENCY_BUDGET` and,
+for N-sets wider than a machine word, V^2 pure-Python pair tests within
+`PYTHON_PAIR_BUDGET`.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -18,11 +26,28 @@ from .coxeter import (
     CoxeterGroup,
     Element,
     SpecError,
+    _iter_bits,
     ascending,
     descending,
     format_word,
     parse_word,
 )
+
+# the most bytes build_graph spends on adjacency rows (one bit per vertex pair);
+# E8 would need about 5 GB
+ADJACENCY_BUDGET = 1 << 30
+# the most vertex pairs build_graph tests in pure Python, its path for N-sets
+# wider than 63 bits; a pair costs about 110 ns there, and B8 (32,399
+# involutions, 64 positive roots) would need 10^9 of them
+PYTHON_PAIR_BUDGET = 10**8
+
+
+def vertex_limit(width=0):
+    """The most involutions the graph layer takes on for `width`-bit N-sets."""
+    limit = isqrt(8 * ADJACENCY_BUDGET)
+    if width > 63:
+        limit = min(limit, isqrt(PYTHON_PAIR_BUDGET))
+    return limit
 
 
 class InvolutionSet:
@@ -49,21 +74,21 @@ class InvolutionSet:
             raise ValueError(f"{x!r} is not a non-identity involution of this group")
 
 
-def enumerate_involutions(group):
-    """All w != 1 with w^2 = 1, via full group enumeration (cached)."""
+def enumerate_involutions(group, limit=None):
+    """All w != 1 with w^2 = 1, from the involution walk (cached).
+
+    Raises SpecError, without finishing the walk, once it finds more than
+    `limit` involutions (default: `vertex_limit()`).
+    """
     if not isinstance(group, CoxeterGroup):
         raise SpecError(f"{group.label} is infinite; use the ball explorer")
+    perms = group.involution_perms(vertex_limit() if limit is None else limit)
     cached = getattr(group, "_involutions", None)
     if cached is not None:
         return cached
-    ident = group.identity_perm
-    pad = group._pad
-    out = []
-    for p in group.enumerate_perms():
-        if p != ident and p.translate(p + pad) == ident:
-            out.append(Element(group, p))
-    out.sort(key=Element.sort_key)
-    invset = InvolutionSet(group, out)
+    elements = [Element(group, p) for p in perms]
+    elements.sort(key=Element.sort_key)
+    invset = InvolutionSet(group, elements)
     group._involutions = invset
     return invset
 
@@ -96,21 +121,16 @@ class E0Graph:
         return sum(self.degrees()) // 2
 
     def edges(self):
-        out = []
-        for i, row in enumerate(self.adj):
-            rest = row >> (i + 1)
-            j = i + 1
-            while rest:
-                if rest & 1:
-                    out.append((i, j))
-                rest >>= 1
-                j += 1
-        return out
+        return [
+            (i, i + 1 + k)
+            for i, row in enumerate(self.adj)
+            for k in _iter_bits(row >> (i + 1))
+        ]
 
     def neighborhood(self, x):
         """The set of vertices adjacent to x."""
         i = self.vertices.index_of(x)
-        return {self.vertices.elements[j] for j in _bit_indices(self.adj[i])}
+        return {self.vertices.elements[j] for j in _iter_bits(self.adj[i])}
 
     def to_json_dict(self):
         verts = [
@@ -136,22 +156,20 @@ class E0Graph:
         return "\n".join(lines)
 
 
-def _bit_indices(bits):
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
 def build_graph(group):
-    """Build the excess-zero graph of a finite group (cached on the group)."""
+    """Build the excess-zero graph of a finite group (cached on the group).
+
+    Raises SpecError, during the involution walk and so before the vertices
+    are sorted or the adjacency allocated, when the group has more than
+    `vertex_limit(|Phi+|)` involutions.
+    """
     cached = getattr(group, "_e0graph", None)
     if cached is not None:
         return cached
-    vertices = enumerate_involutions(group)
+    width = getattr(group, "pos_count", 0)  # the walk refuses infinite groups
+    vertices = enumerate_involutions(group, vertex_limit(width))
     nbits = [group._n_bits(e.perm) for e in vertices]
-    V = len(nbits)
-    adj = _pairwise_disjoint_rows(nbits, V, group.pos_count)
+    adj = _pairwise_disjoint_rows(nbits, len(nbits), width)
     g = E0Graph(group, vertices, nbits, adj)
     group._e0graph = g
     return g
@@ -241,7 +259,7 @@ def components_and_diameter(g):
         for v in range(V):
             r = reach[v]
             grown = r
-            for u in _bit_indices(g.adj[v]):
+            for u in _iter_bits(g.adj[v]):
                 grown |= reach[u]
             if grown != r:
                 ecc[v] = passes
@@ -257,7 +275,7 @@ def components_and_diameter(g):
             comp_masks.append(reach[v])
             seen |= reach[v]
     components = [
-        frozenset(g.vertices.elements[i] for i in _bit_indices(m)) for m in comp_masks
+        frozenset(g.vertices.elements[i] for i in _iter_bits(m)) for m in comp_masks
     ]
     w0 = group.longest_element()
     w0_idx = g.vertices.index_of(w0)
@@ -265,7 +283,7 @@ def components_and_diameter(g):
     if len(hat_masks) != 1:
         raise ValueError(f"expected one component away from w0, found {len(hat_masks)}")
     hat = hat_masks[0]
-    hat_diameter = max(ecc[v] for v in _bit_indices(hat))
+    hat_diameter = max(ecc[v] for v in _iter_bits(hat))
     return components, hat_diameter
 
 
@@ -280,7 +298,7 @@ def graph_distance(g, x, y):
     while frontier:
         d += 1
         grown = 0
-        for u in _bit_indices(frontier):
+        for u in _iter_bits(frontier):
             grown |= g.adj[u]
         frontier = grown & ~reach
         if (frontier >> j) & 1:

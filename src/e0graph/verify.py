@@ -41,8 +41,8 @@ PENDANT_TYPES = (
     "F4", "H3",
     "I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(7)", "I2(8)",
     "I2(9)", "I2(10)", "I2(11)", "I2(12)",
+    "H4", "E6",
 )
-PENDANT_TYPES_HEAVY = ("H4", "E6")
 
 FUZZ_SEED = 20260809
 FUZZ_SAMPLES = 1000
@@ -76,7 +76,6 @@ def _plain(v):
 class VerifyReport:
     check: str
     details: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
 
     @property
     def ok(self):
@@ -84,8 +83,6 @@ class VerifyReport:
 
     @property
     def status(self):
-        if not self.details and self.skipped:
-            return "skipped"
         return "pass" if self.ok else "fail"
 
     def expect(self, claim, expected, actual, note=""):
@@ -93,9 +90,6 @@ class VerifyReport:
 
     def require(self, claim, ok, expected=None, actual=None, note=""):
         self.details.append(Assertion(claim, bool(ok), expected, actual, note))
-
-    def skip(self, what):
-        self.skipped.append(what)
 
     def failures(self):
         return [a for a in self.details if not a.ok]
@@ -106,8 +100,6 @@ class VerifyReport:
         for a in self.failures():
             lines.append(f"  FAIL {a.claim}: expected {a.expected!r}, "
                          f"got {a.actual!r}")
-        for s in self.skipped:
-            lines.append(f"  skipped: {s}")
         return "\n".join(lines)
 
     def to_json_dict(self):
@@ -115,7 +107,6 @@ class VerifyReport:
             "check": self.check,
             "status": self.status,
             "details": [a.as_dict() for a in self.details],
-            "skipped": list(self.skipped),
         }
 
     def to_json(self, **kwargs):
@@ -135,7 +126,7 @@ def graph_for(label):
 # the checks
 # ---------------------------------------------------------------------------
 
-def check_table1(heavy=False):
+def check_table1():
     rep = VerifyReport("table1")
     for label, expected in tables.TYPE_A_ROWS.items():
         got = str(gr.valency_distribution(graph_for(label)))
@@ -144,23 +135,16 @@ def check_table1(heavy=False):
     return rep
 
 
-def check_table2(heavy=False):
+def check_table2():
     rep = VerifyReport("table2")
-    for label in ("H3", "F4"):
-        got = str(gr.valency_distribution(graph_for(label)))
-        rep.expect(f"valency distribution of {label}",
-                   tables.EXCEPTIONAL_ROWS[label], got)
-    for label in ("H4", "E6"):
-        if not heavy:
-            rep.skip(f"{label} row (needs --heavy)")
-            continue
+    for label in ("H3", "F4", "H4", "E6"):
         got = str(gr.valency_distribution(graph_for(label)))
         rep.expect(f"valency distribution of {label}",
                    tables.EXCEPTIONAL_ROWS[label], got)
     return rep
 
 
-def check_thm_diam(heavy=False):
+def check_thm_diam():
     rep = VerifyReport("thm-diam")
     for label in SUITE:
         group = group_for(label)
@@ -199,7 +183,7 @@ def check_thm_diam(heavy=False):
     return rep
 
 
-def check_cor_highval(heavy=False):
+def check_cor_highval():
     rep = VerifyReport("cor-highval")
     for label in SUITE:
         group = group_for(label)
@@ -220,7 +204,7 @@ def check_cor_highval(heavy=False):
     return rep
 
 
-def check_thm_samecard_pairing(heavy=False):
+def check_thm_samecard_pairing():
     rep = VerifyReport("thm-samecard-pairing")
     for label in SUITE:
         group = group_for(label)
@@ -255,7 +239,7 @@ def check_thm_samecard_pairing(heavy=False):
     return rep
 
 
-def check_thm_valency(heavy=False):
+def check_thm_valency():
     rep = VerifyReport("thm-valency")
     for n in range(2, 9):
         for m in range(1, n // 2 + 1):
@@ -277,13 +261,9 @@ def check_thm_valency(heavy=False):
     return rep
 
 
-def check_thm_pendant(heavy=False):
+def check_thm_pendant():
     rep = VerifyReport("thm-pendant")
-    labels = PENDANT_TYPES + (PENDANT_TYPES_HEAVY if heavy else ())
-    if not heavy:
-        for label in PENDANT_TYPES_HEAVY:
-            rep.skip(f"{label} (needs --heavy)")
-    for label in labels:
+    for label in PENDANT_TYPES:
         group = group_for(label)
         r = gr.pendant_report(group)
         rep.require(
@@ -295,13 +275,9 @@ def check_thm_pendant(heavy=False):
     return rep
 
 
-def check_cor_lwn(heavy=False):
+def check_cor_lwn():
     rep = VerifyReport("cor-lwn")
-    labels = PENDANT_TYPES + (PENDANT_TYPES_HEAVY if heavy else ())
-    if not heavy:
-        for label in PENDANT_TYPES_HEAVY:
-            rep.skip(f"{label} (needs --heavy)")
-    for label in labels:
+    for label in PENDANT_TYPES:
         group = group_for(label)
         g = graph_for(label)
         rep.expect(f"{label}: number of pendant elements equals the rank",
@@ -309,7 +285,7 @@ def check_cor_lwn(heavy=False):
     return rep
 
 
-def check_lem_i2m(heavy=False):
+def check_lem_i2m():
     rep = VerifyReport("lem-i2m")
     for m in range(3, 13):
         label = f"I2({m})"
@@ -319,7 +295,7 @@ def check_lem_i2m(heavy=False):
     return rep
 
 
-def check_lem_lendown(heavy=False):
+def check_lem_lendown():
     """Property fuzz: length steps, the additivity formula, conjugation by a
     non-commuting generator, and zero excess for involutions."""
     rep = VerifyReport("lem-lendown")
@@ -367,7 +343,7 @@ def check_lem_lendown(heavy=False):
     return rep
 
 
-def check_thm_dn_cosets(heavy=False):
+def check_thm_dn_cosets():
     rep = VerifyReport("thm-dn-cosets")
     for n in range(4, 8):
         label = f"D{n}"
@@ -401,7 +377,7 @@ def check_thm_dn_cosets(heavy=False):
     return rep
 
 
-def check_lem_universal(heavy=False):
+def check_lem_universal():
     rep = VerifyReport("lem-universal")
     u2 = inf.InfiniteCoxeterGroup.from_spec("U2")
     u3 = inf.InfiniteCoxeterGroup.from_spec("U3")
@@ -455,7 +431,7 @@ def check_lem_universal(heavy=False):
     return rep
 
 
-def check_lem_product(heavy=False):
+def check_lem_product():
     rep = VerifyReport("lem-product")
     for specs, radius in ((("U2", "U2"), 4), (("U3", "U3"), 3)):
         ev = inf.product_diameter_check(specs, radius)
@@ -485,11 +461,11 @@ CHECKS = {
 }
 
 
-def run_check(name, heavy=False):
+def run_check(name):
     try:
         fn = CHECKS[name]
     except KeyError:
         raise ValueError(
             f"unknown check {name!r}; available: {', '.join(sorted(CHECKS))}"
         ) from None
-    return fn(heavy=heavy)
+    return fn()

@@ -26,9 +26,8 @@ def test_c01_table1_type_a_rows():
 
 
 def test_c02_table2_exceptional_rows():
-    # H3/F4 in the light pass; H4 and E6 are the heavy rows, included here
     _assert_report(2, "valency distributions of H3, F4, H4, E6 match the "
-                      "reference rows", verify.check_table2(heavy=True))
+                      "reference rows", verify.check_table2())
 
 
 def test_c03_two_components_and_bounded_diameter():
@@ -65,9 +64,9 @@ def test_c07_valency_recursion_and_closed_forms():
 def test_c08_pendant_classification():
     _assert_report(8, "valency-1 vertices equal the closed-form prediction "
                       "for all supported types (H4, E6 included)",
-                   verify.check_thm_pendant(heavy=True))
+                   verify.check_thm_pendant())
     _assert_report(8, "pendant count equals the rank everywhere",
-                   verify.check_cor_lwn(heavy=True))
+                   verify.check_cor_lwn())
 
 
 def test_c09_dihedral_distributions():

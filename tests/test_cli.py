@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from e0graph import graph
 from e0graph.cli import main
+from e0graph.coxeter import CoxeterGroup
+from e0graph.tables import EXCEPTIONAL_ROWS
 
 
 def run(capsys, *argv):
@@ -132,9 +135,43 @@ def test_verify_unknown_name():
         main(["verify", "nope"])
 
 
-def test_heavy_gate(capsys):
-    code, _, err = run(capsys, "valency", "-g", "E6")
+def test_valency_e6_needs_no_flag(capsys):
+    code, out, _ = run(capsys, "valency", "-g", "E6")
+    assert code == 0
+    assert out.strip() == EXCEPTIONAL_ROWS["E6"]
+
+
+def test_excess_histogram_heavy_gate(capsys):
+    code, _, err = run(capsys, "excess", "-g", "E6")
     assert code == 2 and "--heavy" in err
+
+
+def test_adjacency_budget_refusal(capsys, monkeypatch):
+    monkeypatch.setattr(graph, "ADJACENCY_BUDGET", 8)  # 8 vertices; A3 has 9
+    code, out, err = run(capsys, "valency", "-g", "A3")
+    assert code == 2 and out == ""
+    assert "A3 has more than 8 involutions" in err
+
+
+def test_cosets_heavy_gate(capsys):
+    code, _, err = run(capsys, "cosets", "-g", "E6", "--exclude", "1")
+    assert code == 2 and "--heavy" in err
+
+
+def test_graph_path_skips_full_enumeration(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("enumerated the whole group")
+
+    monkeypatch.setattr(CoxeterGroup, "enumerate_perms", refuse)
+    for argv in (
+        ("valency", "-g", "D5"),
+        ("graph", "-g", "D5", "--format", "dot"),
+        ("diameter", "-g", "D5"),
+        ("pendant", "-g", "D5"),
+        ("excess", "-g", "D5", "--word", "[1..3]"),
+    ):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0, argv
 
 
 def test_custom_json_group(capsys, tmp_path):

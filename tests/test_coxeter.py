@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from e0graph import coxeter
 from e0graph.coxeter import (
     CoxeterGroup,
     CoxeterMatrix,
@@ -109,6 +110,43 @@ def test_positive_root_counts(label, pos):
     assert g.pos_count == pos
     assert g.longest_element().length == pos  # l(w0) = |Phi+|
     assert len(g.roots) == 2 * pos
+
+
+def test_w0_length_guard(monkeypatch):
+    # a spurious zero "root" is fixed by every generator, so w0 cannot send it
+    # negative and l(w0) falls one short of |Phi+|
+    real = coxeter.generate_root_system
+
+    def padded(matrix):
+        rs = real(matrix)
+        extra = rs.pos_roots + [(0.0,) * matrix.rank]
+        return coxeter.RootSystem(matrix, extra, rs.complete)
+
+    monkeypatch.setattr(coxeter, "generate_root_system", padded)
+    with pytest.raises(ToleranceError, match=r"l\(w0\) = 3 but .* 4 positive"):
+        CoxeterGroup.from_spec("A2")
+
+
+def test_involution_walk_stops_at_limit():
+    class Counting(dict):
+        lookups = 0
+
+        def __getitem__(self, key):
+            Counting.lookups += 1
+            return super().__getitem__(key)
+
+    g = CoxeterGroup.from_spec("A5")
+    g.gen_table = Counting(g.gen_table)
+    assert len(g.involution_perms()) == 75
+    full = Counting.lookups
+    g = CoxeterGroup.from_spec("A5")
+    g.gen_table = Counting(g.gen_table)
+    Counting.lookups = 0
+    with pytest.raises(SpecError, match="A5 has more than 10 involutions"):
+        g.involution_perms(limit=10)
+    # at most the identity and 10 involutions were stepped from, 5 steps each
+    assert Counting.lookups <= 11 * 5 < full
+    assert len(g.involution_perms(limit=75)) == 75
 
 
 def test_infinite_closure_needs_depth():

@@ -6,7 +6,9 @@ from itertools import combinations
 
 import pytest
 
-from e0graph.coxeter import CoxeterGroup, Element, format_word
+from e0graph import graph as gr
+from e0graph.coxeter import CoxeterGroup, Element, SpecError, format_word
+from e0graph.verify import SUITE
 from e0graph.graph import (
     build_graph,
     components_and_diameter,
@@ -49,6 +51,44 @@ def test_involution_set_structure():
     assert keys == sorted(keys)  # stable (length, word) order
     for e in invs:
         assert e.is_involution()
+
+
+@pytest.mark.parametrize("label", SUITE + ("D7", "H4", "E6"))
+def test_walk_matches_full_enumeration(label):
+    grp = CoxeterGroup.from_spec(label)  # fresh: keeps the full group uncached
+    full = [Element(grp, p) for p in grp.enumerate_perms()]
+    want = sorted((e for e in full if e.is_involution()), key=Element.sort_key)
+    assert [e.perm for e in enumerate_involutions(grp)] == [e.perm for e in want]
+
+
+def test_walk_e7():
+    grp = CoxeterGroup.from_spec("E7")
+    invs = list(enumerate_involutions(grp))
+    assert len(invs) == 10207
+    assert all(e.is_involution() for e in invs)
+    keys = [e.sort_key() for e in invs]
+    assert keys == sorted(keys)
+
+
+def test_budget_refuses_during_the_walk(monkeypatch):
+    monkeypatch.setattr(gr, "ADJACENCY_BUDGET", 50)  # 20 vertices; A5 has 75
+    grp = CoxeterGroup.from_spec("A5")
+    with pytest.raises(SpecError, match="A5 has more than 20 involutions"):
+        build_graph(grp)
+    assert grp._involution_perms is None  # the walk was cut short
+    enumerate_involutions(grp, limit=75)
+    with pytest.raises(SpecError, match="more than 20"):
+        build_graph(grp)  # the cached walk is held to the budget too
+
+
+def test_pure_python_pair_budget(monkeypatch):
+    grp = CoxeterGroup.from_spec("I2(65)")  # 65 reflections, 65 positive roots
+    assert len(build_graph(CoxeterGroup.from_spec("I2(65)"))) == 65
+    monkeypatch.setattr(gr, "PYTHON_PAIR_BUDGET", 64 * 64)
+    with pytest.raises(SpecError, match="I2\\(65\\) has more than 64"):
+        build_graph(grp)
+    assert len(build_graph(CoxeterGroup.from_spec("A5"))) == 75  # 15-bit N-sets
+    assert len(enumerate_involutions(grp)) == 65  # only build_graph is held
 
 
 def test_is_adjacent_examples():
