@@ -34,7 +34,6 @@ from .graph import (
     graph_distance,
     is_adjacent,
     is_sequential,
-    neighborhood,
     pendant_elements,
     pendant_report,
     predicted_pendants,

@@ -33,6 +33,9 @@ from .coxeter import (
     parse_word,
 )
 
+# the working-set size of one block of the numpy kernels: the build's AND
+# temporary, the unpacked bit rows and the reach pass's gather
+CHUNK_BYTES = 1 << 20
 # the most bytes build_graph spends on adjacency rows (one bit per vertex pair);
 # E8 would need about 5 GB
 ADJACENCY_BUDGET = 1 << 30
@@ -121,11 +124,16 @@ class E0Graph:
         return sum(self.degrees()) // 2
 
     def edges(self):
-        return [
-            (i, i + 1 + k)
-            for i, row in enumerate(self.adj)
-            for k in _iter_bits(row >> (i + 1))
-        ]
+        """Every edge (i, j), i < j, in row-major order."""
+        V = len(self.adj)
+        ids = list(range(V))  # one int object per vertex, shared by its edges
+        out = []
+        for start, bits in _bit_blocks(_packed_rows(self.adj, V), V):
+            i, j = np.divmod(np.flatnonzero(bits) + start * V, V)
+            upper = j > i
+            out.extend(zip(map(ids.__getitem__, i[upper].tolist()),
+                           map(ids.__getitem__, j[upper].tolist())))
+        return out
 
     def neighborhood(self, x):
         """The set of vertices adjacent to x."""
@@ -179,7 +187,8 @@ def _pairwise_disjoint_rows(nbits, V, width):
     """Adjacency rows: bit j of row i set iff nbits[i] & nbits[j] == 0.
 
     Identity is excluded from the vertex set, so every nbits entry is
-    non-zero and the diagonal comes out empty by itself.
+    non-zero and the diagonal comes out empty by itself.  Rows are built in
+    blocks whose uint64 AND temporary stays within `CHUNK_BYTES`.
     """
     if V == 0:
         return []
@@ -190,7 +199,7 @@ def _pairwise_disjoint_rows(nbits, V, width):
         ]
     arr = np.array(nbits, dtype=np.uint64)
     rows = []
-    block = 2048
+    block = max(1, CHUNK_BYTES // (8 * V))
     for start in range(0, V, block):
         chunk = arr[start : start + block]
         disjoint = (chunk[:, None] & arr[None, :]) == 0
@@ -198,6 +207,24 @@ def _pairwise_disjoint_rows(nbits, V, width):
         for row in packed:
             rows.append(int.from_bytes(row.tobytes(), "little"))
     return rows
+
+
+def _packed_rows(rows, V):
+    """V-bit int rows as a writable len(rows) x ceil(V/64) little-endian uint64 matrix."""
+    nbytes = 8 * -(-V // 64)
+    buf = bytearray(len(rows) * nbytes)
+    for i, r in enumerate(rows):
+        buf[i * nbytes : (i + 1) * nbytes] = r.to_bytes(nbytes, "little")
+    return np.frombuffer(buf, dtype="<u8").reshape(len(rows), nbytes // 8)
+
+
+def _bit_blocks(packed, V):
+    """(start, bool block) pairs: rows start.. of `packed` unpacked to V
+    columns each, in blocks of about `CHUNK_BYTES`."""
+    step = max(1, CHUNK_BYTES // max(V, 1))
+    for start in range(0, len(packed), step):
+        block = packed[start : start + step].view(np.uint8)
+        yield start, np.unpackbits(block, axis=1, count=V, bitorder="little").view(bool)
 
 
 @dataclass
@@ -240,40 +267,25 @@ def valency_distribution(g):
 def components_and_diameter(g):
     """Connected components plus the diameter of the component without w0.
 
-    Reachability sets are grown one step per pass with bitset unions, so the
-    work is O(diameter * edges) words.  Raises for rank-1 groups, whose "hat"
-    component is empty and has no diameter.
+    Components come from a frontier search over the adjacency rows, listed
+    by lowest vertex index.  For the diameter, every hat vertex's ball grows
+    one radius per pass as a packed bit row: the next ball is the OR of the
+    balls over the closed neighbourhood, gathered with `take` and ORed with
+    `bitwise_or.reduceat`, `CHUNK_BYTES` of rows at a time so the gather
+    stays in cache.  Radius 1 is the closed neighbourhood itself.  A row
+    that has become the whole hat leaves the passes, and the last pass that
+    finishes a row gives the diameter.  Memory: two V x ceil(V/64) uint64
+    matrices (the balls, and the next balls of the rows still growing), the
+    closed neighbour lists (2E + V indices) and one gather buffer, the
+    larger of `CHUNK_BYTES` and the largest closed neighbourhood's rows.
+    Raises for rank-1 groups, whose "hat" component is empty and has no
+    diameter.
     """
     group = g.group
     if group.rank < 2:
         raise ValueError("rank-1 group: the component away from w0 is empty, "
                          "its diameter is undefined")
-    V = len(g.vertices)
-    reach = [1 << v for v in range(V)]
-    ecc = [0] * V
-    passes = 0
-    while True:
-        passes += 1
-        changed = False
-        new = []
-        for v in range(V):
-            r = reach[v]
-            grown = r
-            for u in _iter_bits(g.adj[v]):
-                grown |= reach[u]
-            if grown != r:
-                ecc[v] = passes
-                changed = True
-            new.append(grown)
-        reach = new
-        if not changed:
-            break
-    comp_masks = []
-    seen = 0
-    for v in range(V):
-        if not (seen >> v) & 1:
-            comp_masks.append(reach[v])
-            seen |= reach[v]
+    comp_masks = _component_masks(g.adj)
     components = [
         frozenset(g.vertices.elements[i] for i in _iter_bits(m)) for m in comp_masks
     ]
@@ -282,33 +294,91 @@ def components_and_diameter(g):
     hat_masks = [m for m in comp_masks if not (m >> w0_idx) & 1]
     if len(hat_masks) != 1:
         raise ValueError(f"expected one component away from w0, found {len(hat_masks)}")
-    hat = hat_masks[0]
-    hat_diameter = max(ecc[v] for v in _iter_bits(hat))
-    return components, hat_diameter
+    return components, _component_diameter(g.adj, hat_masks[0])
+
+
+def _component_masks(adj):
+    """The components as vertex bitsets, by lowest vertex index."""
+    masks = []
+    seen = 0
+    for v in range(len(adj)):
+        if (seen >> v) & 1:
+            continue
+        reach = frontier = 1 << v
+        while frontier:
+            frontier = _row_union(adj, frontier) & ~reach
+            reach |= frontier
+        masks.append(reach)
+        seen |= reach
+    return masks
+
+
+def _row_union(adj, bits):
+    """The union of the adjacency rows of the vertices in `bits`."""
+    grown = 0
+    for u in _iter_bits(bits):
+        grown |= adj[u]
+    return grown
+
+
+def _component_diameter(adj, mask):
+    """The diameter of the component `mask` (see `components_and_diameter`)."""
+    V = len(adj)
+    size = mask.bit_count()
+    target = _packed_rows([mask], V)[0]
+    in_comp = np.unpackbits(target.view(np.uint8), count=V, bitorder="little").view(bool)
+    # the balls of radius 1: every row gains its own vertex
+    reach = _packed_rows(adj, V)
+    v = np.arange(V)
+    reach.view(np.uint8)[v, v // 8] |= (1 << v % 8).astype(np.uint8)
+    W = reach.shape[1]
+    indices = np.concatenate([np.flatnonzero(bits) % V for _, bits in _bit_blocks(reach, V)])
+    lens = np.array([row.bit_count() + 1 for row in adj])
+    growing = in_comp & (lens < size)  # radius 1 is not yet the component
+    indices, lens, active = indices[np.repeat(growing, lens)], lens[growing], np.flatnonzero(growing)
+    step = max(1, CHUNK_BYTES // (8 * W))  # rows gathered at a time
+    gather = np.empty((max(step, lens.max(initial=1)), W), dtype=reach.dtype)
+    radius = int(size > 1)
+    while active.size:
+        radius += 1
+        offs = np.concatenate(([0], np.cumsum(lens)))
+        grown = np.empty((active.size, W), dtype=reach.dtype)
+        p = 0
+        while p < active.size:
+            # vertices p..q-1 gather at most `step` rows, or q = p + 1
+            q = max(p + 1, int(np.searchsorted(offs, offs[p] + step, "right")) - 1)
+            buf = gather[: offs[q] - offs[p]]
+            np.take(reach, indices[offs[p] : offs[q]], axis=0, out=buf, mode="clip")
+            np.bitwise_or.reduceat(buf, offs[p:q] - offs[p], axis=0, out=grown[p:q])
+            p = q
+        reach[active] = grown
+        growing = (grown != target).any(axis=1)
+        indices, lens, active = indices[np.repeat(growing, lens)], lens[growing], active[growing]
+    return radius
 
 
 def graph_distance(g, x, y):
-    """BFS distance between two vertices; None when disconnected."""
+    """Shortest-path distance between two vertices; None when disconnected.
+
+    A bidirectional search: balls grow around both ends, one layer at a
+    time on the side whose frontier is smaller, until the layer just added
+    on one side meets the other side's ball.
+    """
     i, j = g.vertices.index_of(x), g.vertices.index_of(y)
     if i == j:
         return 0
-    reach = 1 << i
-    frontier = reach
+    reach = [1 << i, 1 << j]
+    frontier = list(reach)
     d = 0
-    while frontier:
+    while frontier[0] and frontier[1]:
         d += 1
-        grown = 0
-        for u in _iter_bits(frontier):
-            grown |= g.adj[u]
-        frontier = grown & ~reach
-        if (frontier >> j) & 1:
+        s = 0 if frontier[0].bit_count() <= frontier[1].bit_count() else 1
+        grown = _row_union(g.adj, frontier[s])
+        if grown & reach[1 - s]:
             return d
-        reach |= frontier
+        frontier[s] = grown & ~reach[s]
+        reach[s] |= frontier[s]
     return None
-
-
-def neighborhood(g, x):
-    return g.neighborhood(x)
 
 
 def excess(group, w):
@@ -384,12 +454,7 @@ def predicted_pendants(group):
             return {w0 * r for r in gens}
         return from_words([(1, 2), (2, 1)])
     if family == "A":
-        words = []
-        top = -(-n // 2)  # ceil(n/2)
-        for i in range(1, top + 1):
-            words.append(ascending(i, n + 1 - i))
-            words.append(descending(n + 1 - i, i))
-        return from_words(words)
+        return from_words(sequential_shapes(n))
     if family == "D":  # p odd here
         words = [(i,) for i in range(1, n - 1)]
         words.append((n, n - 2, n - 1))

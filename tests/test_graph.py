@@ -4,14 +4,16 @@ import json
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from e0graph import graph as gr
-from e0graph.coxeter import CoxeterGroup, Element, SpecError, format_word
+from e0graph.coxeter import CoxeterGroup, Element, SpecError, _iter_bits, format_word
 from e0graph.verify import SUITE
 from e0graph.graph import (
     build_graph,
     components_and_diameter,
+    E0Graph,
     delta1_of_w0x,
     enumerate_involutions,
     excess,
@@ -161,6 +163,58 @@ def test_every_hat_vertex_touches_a_generator():
 # components and diameter
 # ---------------------------------------------------------------------------
 
+def _set_bits(x, nbytes):
+    """The indices of the set bits of x, as a list (faster than _iter_bits
+    on wide ints with many bits set)."""
+    row = np.frombuffer(x.to_bytes(nbytes, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(row, bitorder="little")).tolist()
+
+
+def _bfs(adj, i):
+    """One-sided BFS from vertex i: its component bitset and its distance
+    layers (layer k holds the vertices at distance k)."""
+    nbytes = -(-len(adj) // 8)
+    reach = frontier = 1 << i
+    layers = []
+    while frontier:
+        layers.append(frontier)
+        grown = 0
+        for u in _set_bits(frontier, nbytes):
+            grown |= adj[u]
+        frontier = grown & ~reach
+        reach |= frontier
+    return reach, layers
+
+
+def _components_and_diameter_oracle(g):
+    """Components by lowest vertex index; hat diameter as the largest BFS
+    distance between two vertices of the component without w0."""
+    w0 = g.vertices.index_of(g.group.longest_element())
+    comps, seen, hat_diameter = [], 0, 0
+    for i in range(len(g)):
+        reach, layers = _bfs(g.adj, i)
+        if not (seen >> i) & 1:
+            comps.append(frozenset(g.vertices.elements[j] for j in _iter_bits(reach)))
+            seen |= reach
+        if not (reach >> w0) & 1:
+            hat_diameter = max(hat_diameter, len(layers) - 1)
+    return comps, hat_diameter
+
+
+@pytest.mark.parametrize("label", SUITE + ("D7", "E6", "H4"))
+def test_components_and_diameter_match_bfs(label):
+    g = graph(label)
+    assert components_and_diameter(g) == _components_and_diameter_oracle(g)
+
+
+@pytest.mark.parametrize("label", ["B3", "D5", "I2(7)", "A2xA2", "B2xA1xA2"])
+def test_components_and_diameter_in_small_chunks(label, monkeypatch):
+    # every gather holds one closed neighbourhood, every unpacked block one row
+    monkeypatch.setattr(gr, "CHUNK_BYTES", 8)
+    g = graph(label)
+    assert components_and_diameter(g) == _components_and_diameter_oracle(g)
+
+
 def test_components_and_diameter_examples():
     comps, hd = components_and_diameter(graph("A2"))
     assert sorted(len(c) for c in comps) == [1, 2] and hd == 1
@@ -171,8 +225,15 @@ def test_components_and_diameter_examples():
 
 
 def test_rank_one_diameter_undefined():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rank-1 group"):
         components_and_diameter(graph("A1"))
+
+
+def test_split_hat_component_is_refused():
+    g = graph("A3")
+    bare = E0Graph(g.group, g.vertices, g.nbits, [0] * len(g))
+    with pytest.raises(ValueError, match="expected one component away from w0, found 8"):
+        components_and_diameter(bare)
 
 
 def test_graph_distance():
@@ -182,6 +243,22 @@ def test_graph_distance():
     assert graph_distance(g, grp.generator(1), grp.generator(1)) == 0
     w0 = grp.longest_element()
     assert graph_distance(g, w0, grp.generator(1)) is None
+
+
+@pytest.mark.parametrize("label", ["A4", "B3", "B2xA1xA2"])
+def test_graph_distance_matches_bfs(label):
+    g = graph(label)
+    elems = g.vertices.elements
+    nones = 0
+    for i in range(len(g)):
+        _, layers = _bfs(g.adj, i)
+        want = [None] * len(g)
+        for d, layer in enumerate(layers):
+            for j in _iter_bits(layer):
+                want[j] = d
+        nones += want.count(None)
+        assert [graph_distance(g, elems[i], y) for y in elems] == want
+    assert nones == 2 * (len(g) - 1)  # only the pairs with w0, both ways
 
 
 def test_maximal_parabolic_witnesses_at_distance_three():
@@ -363,6 +440,17 @@ def test_graph_json_shape():
     assert data["edges"] == [[0, 1]]
     assert data["vertices"][0]["word"] == "[1]"
     assert all(i < j for i, j in data["edges"])
+
+
+@pytest.mark.parametrize("label", ["A2", "A5", "B2xA1xA2", "I2(65)"])
+@pytest.mark.parametrize("chunk", [8, None])
+def test_edges_match_bit_rows(label, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(gr, "CHUNK_BYTES", chunk)
+    g = graph(label)
+    want = [(i, j) for i, row in enumerate(g.adj) for j in _iter_bits(row) if j > i]
+    assert g.edges() == want
+    assert len(want) == g.edge_count()
 
 
 def test_graph_dot_shape():
