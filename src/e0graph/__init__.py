@@ -45,7 +45,6 @@ from .infinite import (
     MatrixElement,
     ball_graph_diameter_evidence,
     enumerate_ball,
-    involutions_in_ball,
     product_diameter_check,
     universal_neighborhood,
 )

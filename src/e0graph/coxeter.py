@@ -19,11 +19,15 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 INFINITE_BOND = 0  # encodes m_ij = infinity in Coxeter matrices (also in JSON files)
 
 ROOT_KEY_DECIMALS = 6  # roots are deduplicated on coordinates rounded to 1e-6
 SIGN_EPS = 1e-9        # tolerance for the positive/negative root test
+CLOSURE_BLOCK = 4096   # frontier roots reflected at once by the root closure
 
 
 class SpecError(ValueError):
@@ -274,16 +278,21 @@ def reflect(form, i, v):
     return tuple(out)
 
 
-def root_key(v):
-    return tuple(round(c, ROOT_KEY_DECIMALS) + 0.0 for c in v)
+def float_keys(a, decimals):
+    """Hashable keys of the rows of a float64 array (vectors or matrices).
+
+    A key is the bytes of the row's entries rounded to `decimals` places,
+    with -0.0 folded into 0.0.  Every root and matrix key in the package
+    comes from here, so a key computed for one row and for a whole layer
+    at once agree.
+    """
+    r = np.round(a, decimals) + 0.0
+    r = r.reshape(len(r), math.prod(r.shape[1:]))
+    return r.view(np.dtype((np.void, r.itemsize * r.shape[1]))).ravel().tolist()
 
 
 def vec_positive(v):
     return all(c >= -SIGN_EPS for c in v)
-
-
-def vec_negative(v):
-    return all(c <= SIGN_EPS for c in v)
 
 
 class RootSystem:
@@ -299,12 +308,18 @@ class RootSystem:
         self.pos_roots = pos_roots
         self.pos_count = len(pos_roots)
         self.complete = complete
-        self._index = {root_key(v): p for p, v in enumerate(pos_roots)}
+        keys = float_keys(np.array(pos_roots, dtype=float), ROOT_KEY_DECIMALS)
+        self._index = dict(zip(keys, range(self.pos_count)))
         if len(self._index) != self.pos_count:
             raise ToleranceError("root key collision while indexing the root system")
+
+    @cached_property
+    def supports(self):
+        """Bit mask of the simple roots in each positive root's support."""
         eps = 10 ** -(ROOT_KEY_DECIMALS + 1)
-        self.supports = tuple(
-            sum(1 << j for j, c in enumerate(v) if abs(c) > eps) for v in pos_roots
+        return tuple(
+            sum(1 << j for j, c in enumerate(v) if abs(c) > eps)
+            for v in self.pos_roots
         )
 
     def __len__(self):
@@ -317,36 +332,54 @@ class RootSystem:
             return self.pos_roots[idx]
         return tuple(-c for c in self.pos_roots[idx - P])
 
-    def index_of_positive(self, v):
-        """Index of a positive root vector, or None if outside the system."""
-        return self._index.get(root_key(v))
+    def indices_of(self, vectors):
+        """Signed index of each root vector (the rows), or None for a non-root."""
+        v = np.asarray(vectors, dtype=float).reshape(-1, self.rank)
+        positive = (v >= -SIGN_EPS).all(axis=1)
+        keys = float_keys(np.where(positive[:, None], v, -v), ROOT_KEY_DECIMALS)
+        P = self.pos_count
+        out = []
+        for k, pos in zip(keys, positive.tolist()):
+            p = self._index.get(k)
+            out.append(p if p is None or pos else p + P)
+        return out
 
-    def index_of(self, v):
-        """Signed index of any root vector, or None."""
-        if vec_positive(v):
-            return self.index_of_positive(v)
-        p = self.index_of_positive(tuple(-c for c in v))
-        return None if p is None else p + self.pos_count
+
+def _reflect_all(form, roots):
+    """Every simple reflection of every root: out[f, i] = r_{i+1} . roots[f].
+
+    The pairing with row i of the form is summed left to right, as in
+    `reflect`, so each row is bit-identical to the scalar reflection.
+    """
+    c = roots[:, 0, None] * form[:, 0]
+    for j in range(1, form.shape[0]):
+        c = c + roots[:, j, None] * form[:, j]
+    out = np.repeat(roots[:, None, :], form.shape[0], axis=1)
+    diag = np.arange(form.shape[0])
+    out[:, diag, diag] -= 2.0 * c
+    return out
 
 
 def generate_root_system(matrix, max_depth=None, max_roots=2_000_000):
     """Close the simple roots under the simple reflections.
 
-    `max_depth` bounds the number of reflection applications and must be given
-    for infinite groups; without it the closure runs until it terminates and a
-    failure to do so raises.  `complete` is True iff closure terminated before
-    the depth limit.
+    Each depth reflects the whole frontier by every generator at once; the
+    new positive roots keep (frontier root, generator) order, first
+    occurrence winning.  `max_depth` bounds the number of reflection
+    applications and must be given for infinite groups; without it the
+    closure runs until it terminates and a failure to do so raises.
+    `complete` is True iff closure terminated before the depth limit.
     """
-    form = bilinear_form(matrix)
+    form = np.array(bilinear_form(matrix))
     n = matrix.rank
-    simples = [tuple(1.0 if j == i else 0.0 for j in range(n)) for i in range(n)]
-    seen = {root_key(v): v for v in simples}
-    frontier = list(simples)
-    pos_roots = list(simples)
+    frontier = np.eye(n)
+    layers = [frontier]
+    seen = set(float_keys(frontier, ROOT_KEY_DECIMALS))
+    count = n
     depth = 0
     hard_cap = max_depth if max_depth is not None else 10_000
     complete = False
-    while frontier:
+    while len(frontier):
         if depth >= hard_cap:
             if max_depth is None:
                 raise ToleranceError(
@@ -355,24 +388,28 @@ def generate_root_system(matrix, max_depth=None, max_roots=2_000_000):
                 )
             break
         depth += 1
-        nxt = []
-        for v in frontier:
-            for i in range(1, n + 1):
-                w = reflect(form, i, v)
-                if vec_negative(w):
-                    continue  # only r_i . a_i leaves the positive cone
-                if not vec_positive(w):
-                    raise ToleranceError(f"root with mixed signs generated: {w}")
-                k = root_key(w)
+        new = []
+        for lo in range(0, len(frontier), CLOSURE_BLOCK):
+            cand = _reflect_all(form, frontier[lo : lo + CLOSURE_BLOCK]).reshape(-1, n)
+            cand = cand[~(cand <= SIGN_EPS).all(axis=1)]  # only r_i . a_i turns negative
+            mixed = ~(cand >= -SIGN_EPS).all(axis=1)
+            if mixed.any():
+                w = tuple(cand[mixed.argmax()].tolist())
+                raise ToleranceError(f"root with mixed signs generated: {w}")
+            keep = []
+            for c, k in enumerate(float_keys(cand, ROOT_KEY_DECIMALS)):
                 if k not in seen:
-                    seen[k] = w
-                    nxt.append(w)
-                    pos_roots.append(w)
-                    if len(pos_roots) > max_roots:
-                        raise ToleranceError("root count cap exceeded")
-        frontier = nxt
+                    seen.add(k)
+                    keep.append(c)
+            count += len(keep)
+            if count > max_roots:
+                raise ToleranceError("root count cap exceeded")
+            new.append(cand[keep])
+        frontier = np.concatenate(new)
+        layers.append(frontier)
     else:
         complete = True
+    pos_roots = list(map(tuple, np.concatenate(layers).tolist()))
     return RootSystem(matrix, pos_roots, complete)
 
 
@@ -602,11 +639,12 @@ class CoxeterGroup(GeometricGroup):
         self._nonsimple = bytes(range(self.rank, 256))
         self.gen_perm = {}
         self.gen_table = {}  # padded to 256 for bytes.translate
+        images = _reflect_all(np.array(self.form), np.array(self.roots.pos_roots))
+        # image[(i - 1) * P + p] is the signed index of r_i . a_p
+        image = self.roots.indices_of(images.transpose(1, 0, 2).reshape(-1, self.rank))
         for i in self.generators:
             perm = bytearray(2 * P)
-            for p in range(P):
-                v = reflect(self.form, i, self.roots.pos_roots[p])
-                q = self.roots.index_of(v)
+            for p, q in enumerate(image[(i - 1) * P : i * P]):
                 if q is None:
                     raise ToleranceError(f"generator {i} escaped the root system")
                 perm[p] = q

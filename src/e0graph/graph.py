@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import isqrt
 
 import numpy as np
@@ -123,17 +124,19 @@ class E0Graph:
     def edge_count(self):
         return sum(self.degrees()) // 2
 
-    def edges(self):
-        """Every edge (i, j), i < j, in row-major order."""
+    def _edge_runs(self):
+        """The edges (i, j), i < j, in row-major order, one row block at a time."""
         V = len(self.adj)
         ids = list(range(V))  # one int object per vertex, shared by its edges
-        out = []
         for start, bits in _bit_blocks(_packed_rows(self.adj, V), V):
             i, j = np.divmod(np.flatnonzero(bits) + start * V, V)
             upper = j > i
-            out.extend(zip(map(ids.__getitem__, i[upper].tolist()),
-                           map(ids.__getitem__, j[upper].tolist())))
-        return out
+            yield zip(map(ids.__getitem__, i[upper].tolist()),
+                      map(ids.__getitem__, j[upper].tolist()))
+
+    def edges(self):
+        """Every edge (i, j), i < j, in row-major order."""
+        return list(chain.from_iterable(self._edge_runs()))
 
     def neighborhood(self, x):
         """The set of vertices adjacent to x."""
@@ -148,7 +151,7 @@ class E0Graph:
         return {
             "group": self.group.label,
             "vertices": verts,
-            "edges": [[i, j] for i, j in self.edges()],
+            "edges": self.edges(),  # json writes each (i, j) tuple as [i, j]
         }
 
     def to_json(self, **kwargs):
@@ -158,8 +161,8 @@ class E0Graph:
         lines = [f'graph "{self.group.label}" {{']
         for i, e in enumerate(self.vertices):
             lines.append(f'  v{i} [label="{format_word(e.word)}"];')
-        for i, j in self.edges():
-            lines.append(f"  v{i} -- v{j};")
+        for run in self._edge_runs():  # no list of every edge next to the lines
+            lines.extend(f"  v{i} -- v{j};" for i, j in run)
         lines.append("}")
         return "\n".join(lines)
 

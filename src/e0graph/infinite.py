@@ -3,47 +3,57 @@
 Elements are stored as (matrix of the reflection representation, reduced
 word); matrices are the canonical form (words are not unique across braid
 moves) and are deduplicated on entries rounded to 1e-6, with a hard failure
-if two matrices land on one key while differing by more than 1e-5.  N-sets
-are read off the reduced word, so adjacency between ball members is exact,
-not an artifact of the truncation radius.
+if two matrices land on one key while differing by more than 1e-5.
+
+`enumerate_ball` works one BFS layer at a time in numpy: a layer is an
+(F, n, n) float64 array of matrices, carried with the array of their
+inverses.  Right multiplication by a generator s is the rank-one update
+M - 2 M[:, s-1] <a_s, .>, O(n^2) per element, and the inverse changes in
+row s-1 only.  Single elements step with the same formula, so a matrix
+reached along the same word is bit-identical on both paths.  w is an
+involution when its key equals the key of w^-1; comparing keys keeps the
+test on the rounding grid, where an absolute bound on M^2 - 1 fails once
+the entries grow large.  A ball builds its root system only when it is
+first asked for an N-set.  N-sets are read off the reduced word, so
+adjacency between ball members is exact, not an artifact of the truncation
+radius.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .coxeter import (
     INFINITE_BOND,
+    SIGN_EPS,
     CoxeterMatrix,
     GroupSpec,
     GeometricGroup,
     SpecError,
     ToleranceError,
+    float_keys,
     format_word,
     generate_root_system,
     parse_group_spec,
-    vec_positive,
 )
 
 MATRIX_KEY_DECIMALS = 6
-MATRIX_EQ_TOL = 1e-7
 MATRIX_COLLISION_TOL = 1e-5
 
 
-def _mat_mul(A, B):
-    cols = tuple(zip(*B))
-    return tuple(
-        tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in A
-    )
+def _mat_keys(mats):
+    """Keys of a stack of matrices; the one key of a group element."""
+    return float_keys(mats, MATRIX_KEY_DECIMALS)
 
 
-def _mat_key(M):
-    return tuple(round(x, MATRIX_KEY_DECIMALS) + 0.0 for row in M for x in row)
-
-
-def _mat_close(A, B, tol):
-    return all(abs(a - b) <= tol for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+def _negative_columns(mat, generators):
+    """The generators s whose column mat . a_s is not a positive root."""
+    positive = (mat >= -SIGN_EPS).all(axis=0)
+    return {s for s in generators if not positive[s - 1]}
 
 
 class MatrixElement:
@@ -51,11 +61,11 @@ class MatrixElement:
 
     __slots__ = ("group", "mat", "word", "key")
 
-    def __init__(self, group, mat, word):
+    def __init__(self, group, mat, word, key=None):
         self.group = group
         self.mat = mat
         self.word = word
-        self.key = _mat_key(mat)
+        self.key = _mat_keys(mat[None])[0] if key is None else key
 
     @property
     def length(self):
@@ -64,27 +74,18 @@ class MatrixElement:
     def __mul__(self, other):
         if not isinstance(other, MatrixElement) or other.group is not self.group:
             return NotImplemented
-        g = self.group
-        return MatrixElement(
-            g, _mat_mul(self.mat, other.mat), g.reduce_word(self.word + other.word)
-        )
+        return self.group.element_from_word(self.word + other.word)
 
     def inverse(self):
-        g = self.group
         rw = tuple(reversed(self.word))  # reversal of a reduced word is reduced
-        mat = g.identity_mat
-        for s in rw:
-            mat = _mat_mul(mat, g.gen_mat[s])
-        return MatrixElement(g, mat, rw)
+        return MatrixElement(self.group, self.group._word_mat(rw), rw)
 
     def is_identity(self):
         return not self.word
 
     def is_involution(self):
-        if not self.word:
-            return False
-        sq = _mat_mul(self.mat, self.mat)
-        return _mat_close(sq, self.group.identity_mat, MATRIX_EQ_TOL)
+        """w != 1 and w = w^-1, compared by key."""
+        return bool(self.word) and self.inverse().key == self.key
 
     def n_set_vectors(self):
         return self.group.n_set_vectors(self.word)
@@ -111,16 +112,9 @@ class InfiniteCoxeterGroup(GeometricGroup):
 
     def __init__(self, matrix, spec=None):
         super().__init__(matrix, spec)
-        n = self.rank
-        self.identity_mat = tuple(
-            tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n)
-        )
-        self.gen_mat = {}
-        for i in self.generators:
-            rows = [list(r) for r in self.identity_mat]
-            for j in range(n):
-                rows[i - 1][j] = (1.0 if i - 1 == j else 0.0) - 2.0 * self.form[i - 1][j]
-            self.gen_mat[i] = tuple(tuple(r) for r in rows)
+        self.identity_mat = np.eye(self.rank)
+        self.identity_mat.flags.writeable = False
+        self._form2 = 2.0 * np.array(self.form)  # row s-1: 2 <a_s, .>
         self._roots_by_depth = {}
 
     @classmethod
@@ -158,11 +152,18 @@ class InfiniteCoxeterGroup(GeometricGroup):
         return self.identity_mat
 
     def _carrier_mul_gen(self, carrier, s):
-        return _mat_mul(carrier, self.gen_mat[s])
+        # entry for entry the layer step of enumerate_ball
+        return carrier - carrier[:, s - 1, None] * self._form2[s - 1]
 
     def _carrier_sends_simple_positive(self, carrier, s):
-        col = tuple(row[s - 1] for row in carrier)
-        return vec_positive(col)
+        return carrier[:, s - 1].min() >= -SIGN_EPS
+
+    def _word_mat(self, word):
+        mat = self.identity_mat
+        for s in word:
+            mat = self._carrier_mul_gen(mat, s)
+        mat.flags.writeable = False
+        return mat
 
     # -- elements ---------------------------------------------------------------
 
@@ -174,13 +175,10 @@ class InfiniteCoxeterGroup(GeometricGroup):
         """Element with the given letters; the stored word is reduced."""
         self._check_letters(word)
         word = self.reduce_word(tuple(word))
-        mat = self.identity_mat
-        for s in word:
-            mat = _mat_mul(mat, self.gen_mat[s])
-        return MatrixElement(self, mat, word)
+        return MatrixElement(self, self._word_mat(word), word)
 
     def generator(self, i):
-        return MatrixElement(self, self.gen_mat[i], (i,))
+        return MatrixElement(self, self._word_mat((i,)), (i,))
 
     def n_set_vectors(self, word):
         """N(w) for a reduced word, as root coefficient vectors.
@@ -191,29 +189,18 @@ class InfiniteCoxeterGroup(GeometricGroup):
         out = []
         M = self.identity_mat
         for s in reversed(word):
-            root = tuple(row[s - 1] for row in M)
-            if not vec_positive(root):
+            if not self._carrier_sends_simple_positive(M, s):
                 raise ToleranceError("reduced word produced a negative N-set root")
-            out.append(root)
-            M = _mat_mul(M, self.gen_mat[s])
+            out.append(M[:, s - 1])
+            M = self._carrier_mul_gen(M, s)
         return out
 
     def descent_sets(self, w):
         """(left, right) descent sets; for involutions the two coincide."""
-        right = {
-            s
-            for s in self.generators
-            if not vec_positive(tuple(row[s - 1] for row in w.mat))
-        }
-        inv_mat = w.mat if w.is_involution() or w.is_identity() else None
-        if inv_mat is None:
-            inv_mat = self.element_from_word(tuple(reversed(w.word))).mat
-        left = {
-            s
-            for s in self.generators
-            if not vec_positive(tuple(row[s - 1] for row in inv_mat))
-        }
-        return left, right
+        return (
+            _negative_columns(w.inverse().mat, self.generators),
+            _negative_columns(w.mat, self.generators),
+        )
 
     def parabolic_longest(self, J):
         """Longest element of W_J; requires that parabolic to be finite."""
@@ -223,37 +210,38 @@ class InfiniteCoxeterGroup(GeometricGroup):
         if not sub_roots.complete:
             raise SpecError(f"parabolic on {J} is not finite")
         bound = sub_roots.pos_count
-        w = self.identity
+        mat = self.identity_mat
         word = []
         while True:
             s = next(
-                (
-                    t
-                    for t in J
-                    if vec_positive(tuple(row[t - 1] for row in w.mat))
-                ),
-                None,
+                (t for t in J if self._carrier_sends_simple_positive(mat, t)), None
             )
             if s is None:
                 break
             word.append(s)
             if len(word) > bound:
                 raise ToleranceError("parabolic ascent exceeded its root count")
-            w = MatrixElement(self, _mat_mul(w.mat, self.gen_mat[s]), tuple(word))
-        return w
+            mat = self._carrier_mul_gen(mat, s)
+        mat.flags.writeable = False
+        return MatrixElement(self, mat, tuple(word))
 
 
 class Ball:
     """All elements of length <= radius, with exact N-set adjacency."""
 
-    def __init__(self, group, radius, elements, root_depth=None):
+    def __init__(self, group, radius, elements, involutions, root_depth=None):
         self.group = group
         self.radius = radius
-        self.elements = elements  # sorted by (length, word)
+        self.elements = elements  # in (length, word) order
         self.by_key = {e.key: e for e in elements}
-        self.root_system = group.root_system(max(radius, root_depth or 0, 1))
+        self._involutions = involutions
+        self._root_depth = max(radius, root_depth or 0, 1)
         self._nbits = {}
-        self._involutions = None
+
+    @cached_property
+    def root_system(self):
+        """The roots to depth max(radius, root_depth), built on first use."""
+        return self.group.root_system(self._root_depth)
 
     def __len__(self):
         return len(self.elements)
@@ -262,16 +250,14 @@ class Ball:
         return elem.key in self.by_key
 
     def involutions(self):
-        if self._involutions is None:
-            self._involutions = [e for e in self.elements if e.is_involution()]
+        """Members w != 1 with w = w^-1, in (length, word) order."""
         return self._involutions
 
     def n_bits(self, elem):
         bits = self._nbits.get(elem.key)
         if bits is None:
             bits = 0
-            for v in elem.n_set_vectors():
-                idx = self.root_system.index_of_positive(v)
+            for idx in self.root_system.indices_of(elem.n_set_vectors()):
                 if idx is None:
                     raise ToleranceError(
                         f"root of {elem!r} escaped the generated system "
@@ -303,44 +289,62 @@ class Ball:
 
 
 def enumerate_ball(group, radius, root_depth=None):
-    """BFS over length-increasing right multiplication up to the radius.
+    """All elements of length <= radius, one BFS layer at a time.
 
-    Stored words are the shortlex-least reduced words; deduplication is by
-    rounded matrix, aborting on any key collision between distinct matrices.
+    A layer steps every frontier matrix, and its inverse, by each generator
+    that lengthens it, in (frontier element, generator) order.  The first
+    candidate on a key wins, so every stored word is the shortlex-least
+    reduced word and the elements come out in (length, word) order.  A key
+    hit on a matrix that differs by more than MATRIX_COLLISION_TOL aborts.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    registry = {group.identity.key: group.identity.mat}
-    elements = [group.identity]
-    frontier = [group.identity]
+    form2 = group._form2
+    mats = invs = group.identity_mat[None]
+    words = [()]
+    keys = _mat_keys(mats)
+    registry = {keys[0]: 0}  # key -> index in the ball
+    layers = [(mats, words, keys, [False])]
     for _ in range(radius):
-        nxt = []
-        for w in sorted(frontier, key=MatrixElement.sort_key):
-            for i in group.generators:
-                col = tuple(row[i - 1] for row in w.mat)
-                if not vec_positive(col):
-                    continue  # length would drop
-                mat = _mat_mul(w.mat, group.gen_mat[i])
-                key = _mat_key(mat)
-                prev = registry.get(key)
-                if prev is not None:
-                    if not _mat_close(prev, mat, MATRIX_COLLISION_TOL):
-                        raise ToleranceError(
-                            "matrix key collision between distinct elements"
-                        )
-                    continue
-                elem = MatrixElement(group, mat, w.word + (i,))
-                registry[key] = mat
-                elements.append(elem)
-                nxt.append(elem)
-        frontier = nxt
-    elements.sort(key=MatrixElement.sort_key)
-    return Ball(group, radius, elements, root_depth=root_depth)
-
-
-def involutions_in_ball(ball):
-    """Members w != 1 of the ball with w^2 = 1."""
-    return list(ball.involutions())
+        f, g = np.nonzero((mats >= -SIGN_EPS).all(axis=1))  # l(ws) > l(w)
+        if not len(f):
+            break
+        cand = mats[f] - mats[f, :, g][:, :, None] * form2[g][:, None, :]
+        cand_keys = _mat_keys(cand)
+        base = len(registry)
+        keep, hit_c, hit_j = [], [], []
+        for c, k in enumerate(cand_keys):
+            j = registry.setdefault(k, base + len(keep))
+            if j == base + len(keep):
+                keep.append(c)
+            else:
+                hit_c.append(c)
+                hit_j.append(j)
+        new = cand[keep]
+        if hit_c:
+            if min(hit_j) < base:  # an earlier layer: only float error gets here
+                prev = np.concatenate([lay[0] for lay in layers] + [new])[hit_j]
+            else:
+                prev = new[np.array(hit_j) - base]
+            if np.abs(cand[hit_c] - prev).max() > MATRIX_COLLISION_TOL:
+                raise ToleranceError("matrix key collision between distinct elements")
+        f, g = f[keep], g[keep]
+        invs = invs[f]
+        rows = np.arange(len(keep))
+        invs[rows, g] -= np.einsum("mk,mkj->mj", form2[g], invs)
+        words = [words[a] + (b + 1,) for a, b in zip(f.tolist(), g.tolist())]
+        keys = [cand_keys[c] for c in keep]
+        is_inv = [a == b for a, b in zip(keys, _mat_keys(invs))]
+        new.flags.writeable = False
+        mats = new
+        layers.append((mats, words, keys, is_inv))
+    elements, involutions = [], []
+    for layer in layers:
+        for m, w, k, inv in zip(*layer):
+            elements.append(MatrixElement(group, m, w, k))
+            if inv:
+                involutions.append(elements[-1])
+    return Ball(group, radius, elements, involutions, root_depth=root_depth)
 
 
 def universal_neighborhood(x, ball):

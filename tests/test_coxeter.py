@@ -16,7 +16,9 @@ from e0graph.coxeter import (
     generate_root_system,
     parse_group_spec,
     parse_word,
+    reflect,
 )
+from e0graph.verify import SUITE
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +158,52 @@ def test_infinite_closure_needs_depth():
     rs = generate_root_system(m, max_depth=5)
     assert not rs.complete
     assert rs.pos_count == 12  # two simple roots plus two new per depth step
+
+
+def reference_closure(matrix, max_depth):
+    """Scalar BFS over the roots: one reflection and one rounded key at a time."""
+    form = coxeter.bilinear_form(matrix)
+    n = matrix.rank
+    roots = [tuple(float(i == j) for j in range(n)) for i in range(n)]
+    seen = {tuple(round(c, 6) + 0.0 for c in v) for v in roots}
+    frontier = list(roots)
+    for _ in range(max_depth):
+        nxt = []
+        for v in frontier:
+            for i in range(1, n + 1):
+                w = reflect(form, i, v)
+                if all(c <= 1e-9 for c in w):
+                    continue
+                k = tuple(round(c, 6) + 0.0 for c in w)
+                if k not in seen:
+                    seen.add(k)
+                    nxt.append(w)
+        roots += nxt
+        frontier = nxt
+    return roots, not frontier
+
+
+@pytest.mark.parametrize(
+    "label,depth",
+    [(label, 64) for label in SUITE + ("H4", "E7", "E8")] + [("U4", 8)],
+)
+def test_closure_matches_scalar_reference(label, depth):
+    m = parse_group_spec(label).coxeter_matrix()
+    roots, complete = reference_closure(m, depth)
+    rs = generate_root_system(m, max_depth=depth)
+    assert rs.pos_roots == roots  # the same roots, in the same order
+    assert rs.complete == complete
+
+
+def test_closure_rejects_mixed_signs(monkeypatch):
+    # a form scaled by 3 reflects a_1 off the root cone for A2
+    real = coxeter.bilinear_form
+    monkeypatch.setattr(
+        coxeter, "bilinear_form",
+        lambda m: tuple(tuple(3 * c for c in row) for row in real(m)),
+    )
+    with pytest.raises(ToleranceError, match="mixed signs"):
+        generate_root_system(parse_group_spec("A2").coxeter_matrix())
 
 
 def test_generator_action_is_sign_compatible_permutation():

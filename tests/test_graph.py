@@ -451,6 +451,9 @@ def test_edges_match_bit_rows(label, chunk, monkeypatch):
     want = [(i, j) for i, row in enumerate(g.adj) for j in _iter_bits(row) if j > i]
     assert g.edges() == want
     assert len(want) == g.edge_count()
+    dot = [line for line in g.to_dot().splitlines() if " -- " in line]
+    assert dot == [f"  v{i} -- v{j};" for i, j in want]
+    assert json.loads(g.to_json())["edges"] == [[i, j] for i, j in want]
 
 
 def test_graph_dot_shape():
