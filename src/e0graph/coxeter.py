@@ -636,6 +636,7 @@ class CoxeterGroup(GeometricGroup):
         self.identity_perm = bytes(range(2 * P))
         self._pad = bytes(256 - 2 * P)
         self._neg = bytes(range(P, 2 * P))  # negative-root indices
+        self._sign_digits = b"0" * P + b"1" * (256 - P)  # positive / negative image
         self._nonsimple = bytes(range(self.rank, 256))
         self.gen_perm = {}
         self.gen_table = {}  # padded to 256 for bytes.translate
@@ -681,12 +682,18 @@ class CoxeterGroup(GeometricGroup):
         return bytes(out)
 
     def _n_bits(self, a):
+        """N(a) as an int: bit p set iff a sends positive root p negative."""
+        return int(a[: self.pos_count].translate(self._sign_digits)[::-1], 2)
+
+    def n_set_words(self, perms):
+        """The N-sets of `perms`, packed in one word-major (k, len(perms))
+        little-endian uint64 array, k = ceil(|Phi+| / 64): bit p of column v
+        across the k words is bit p of `_n_bits(perms[v])`."""
         P = self.pos_count
-        bits = 0
-        for p in range(P):
-            if a[p] >= P:
-                bits |= 1 << p
-        return bits
+        a = np.frombuffer(b"".join(perms), dtype=np.uint8).reshape(len(perms), 2 * P)
+        packed = np.zeros((len(perms), 8 * -(-P // 64)), dtype=np.uint8)
+        packed[:, : -(-P // 8)] = np.packbits(a[:, :P] >= P, axis=1, bitorder="little")
+        return np.ascontiguousarray(packed.view("<u8").T)
 
     def _length(self, a):
         """|N(a)|: the positive roots a sends negative."""

@@ -4,13 +4,13 @@ Vertices are the involutions, produced by the involution walk of
 `CoxeterGroup.involution_perms` (the rest of the group is never visited) and
 ordered by (length, lexmin word); vertex ids in the exports follow that
 order.  x and y are joined exactly when l(xy) = l(x) + l(y), which happens
-iff N(x) and N(y) are disjoint.  N-sets are packed into integer bitsets over
-the positive-root indices, so building the graph is a pairwise AND over a
-vector of machine words.  The adjacency is one V-bit row per vertex.  The
-walk stops, and the group is refused, once it finds more involutions than
-`vertex_limit` allows: V^2/8 adjacency bytes within `ADJACENCY_BUDGET` and,
-for N-sets wider than a machine word, V^2 pure-Python pair tests within
-`PYTHON_PAIR_BUDGET`.
+iff N(x) and N(y) are disjoint.  The N-sets of all vertices are packed into
+k = ceil(|Phi+| / 64) machine words each (`CoxeterGroup.n_set_words`), so
+building the graph is a pairwise AND over k vectors of words, whatever the
+width.  The adjacency is one V-bit row per vertex.  The walk stops, and the
+group is refused, once it finds more involutions than `vertex_limit`
+allows: V^2/8 adjacency bytes within `ADJACENCY_BUDGET`.  So B8, E7xA1 and
+D9 build, and E8, A11 and A15 are refused.
 """
 
 from __future__ import annotations
@@ -40,18 +40,11 @@ CHUNK_BYTES = 1 << 20
 # the most bytes build_graph spends on adjacency rows (one bit per vertex pair);
 # E8 would need about 5 GB
 ADJACENCY_BUDGET = 1 << 30
-# the most vertex pairs build_graph tests in pure Python, its path for N-sets
-# wider than 63 bits; a pair costs about 110 ns there, and B8 (32,399
-# involutions, 64 positive roots) would need 10^9 of them
-PYTHON_PAIR_BUDGET = 10**8
 
 
-def vertex_limit(width=0):
-    """The most involutions the graph layer takes on for `width`-bit N-sets."""
-    limit = isqrt(8 * ADJACENCY_BUDGET)
-    if width > 63:
-        limit = min(limit, isqrt(PYTHON_PAIR_BUDGET))
-    return limit
+def vertex_limit():
+    """The most involutions the graph layer takes on."""
+    return isqrt(8 * ADJACENCY_BUDGET)
 
 
 class InvolutionSet:
@@ -78,15 +71,15 @@ class InvolutionSet:
             raise ValueError(f"{x!r} is not a non-identity involution of this group")
 
 
-def enumerate_involutions(group, limit=None):
+def enumerate_involutions(group):
     """All w != 1 with w^2 = 1, from the involution walk (cached).
 
     Raises SpecError, without finishing the walk, once it finds more than
-    `limit` involutions (default: `vertex_limit()`).
+    `vertex_limit()` involutions.
     """
     if not isinstance(group, CoxeterGroup):
         raise SpecError(f"{group.label} is infinite; use the ball explorer")
-    perms = group.involution_perms(vertex_limit() if limit is None else limit)
+    perms = group.involution_perms(vertex_limit())
     cached = getattr(group, "_involutions", None)
     if cached is not None:
         return cached
@@ -106,11 +99,10 @@ def is_adjacent(x, y):
 class E0Graph:
     """The graph itself: involution vertices plus bitset adjacency rows."""
 
-    def __init__(self, group, vertices, nbits, adj):
+    def __init__(self, group, vertices, adj):
         self.group = group
         self.vertices = vertices
-        self.nbits = nbits  # N-set bitset per vertex
-        self.adj = adj      # adjacency bitset per vertex (over vertex indices)
+        self.adj = adj  # adjacency bitset per vertex (over vertex indices)
 
     def __len__(self):
         return len(self.vertices)
@@ -161,8 +153,10 @@ class E0Graph:
         lines = [f'graph "{self.group.label}" {{']
         for i, e in enumerate(self.vertices):
             lines.append(f'  v{i} [label="{format_word(e.word)}"];')
-        for run in self._edge_runs():  # no list of every edge next to the lines
-            lines.extend(f"  v{i} -- v{j};" for i, j in run)
+        for run in self._edge_runs():  # one string per row block, not per edge
+            block = "\n".join(f"  v{i} -- v{j};" for i, j in run)
+            if block:
+                lines.append(block)
         lines.append("}")
         return "\n".join(lines)
 
@@ -172,41 +166,36 @@ def build_graph(group):
 
     Raises SpecError, during the involution walk and so before the vertices
     are sorted or the adjacency allocated, when the group has more than
-    `vertex_limit(|Phi+|)` involutions.
+    `vertex_limit()` involutions.
     """
     cached = getattr(group, "_e0graph", None)
     if cached is not None:
         return cached
-    width = getattr(group, "pos_count", 0)  # the walk refuses infinite groups
-    vertices = enumerate_involutions(group, vertex_limit(width))
-    nbits = [group._n_bits(e.perm) for e in vertices]
-    adj = _pairwise_disjoint_rows(nbits, len(nbits), width)
-    g = E0Graph(group, vertices, nbits, adj)
+    vertices = enumerate_involutions(group)
+    words = group.n_set_words([e.perm for e in vertices])
+    g = E0Graph(group, vertices, _pairwise_disjoint_rows(words))
     group._e0graph = g
     return g
 
 
-def _pairwise_disjoint_rows(nbits, V, width):
-    """Adjacency rows: bit j of row i set iff nbits[i] & nbits[j] == 0.
+def _pairwise_disjoint_rows(words):
+    """Adjacency rows: bit j of row i set iff N-sets i and j are disjoint.
 
-    Identity is excluded from the vertex set, so every nbits entry is
-    non-zero and the diagonal comes out empty by itself.  Rows are built in
-    blocks whose uint64 AND temporary stays within `CHUNK_BYTES`.
+    `words` is the (k, V) word-major N-set array of `n_set_words`.  Identity
+    is excluded from the vertex set, so every N-set is non-empty and the
+    diagonal comes out empty by itself.  Rows are built in blocks whose
+    uint64 AND temporaries stay within `CHUNK_BYTES` each.
     """
+    V = words.shape[1]
     if V == 0:
         return []
-    if width > 63:
-        return [
-            sum((1 << j) for j, b in enumerate(nbits) if i != j and nbits[i] & b == 0)
-            for i in range(V)
-        ]
-    arr = np.array(nbits, dtype=np.uint64)
     rows = []
     block = max(1, CHUNK_BYTES // (8 * V))
     for start in range(0, V, block):
-        chunk = arr[start : start + block]
-        disjoint = (chunk[:, None] & arr[None, :]) == 0
-        packed = np.packbits(disjoint, axis=1, bitorder="little")
+        meet = words[0, start : start + block, None] & words[0, None, :]
+        for word in words[1:]:
+            meet |= word[start : start + block, None] & word[None, :]
+        packed = np.packbits(meet == 0, axis=1, bitorder="little")
         for row in packed:
             rows.append(int.from_bytes(row.tobytes(), "little"))
     return rows

@@ -203,9 +203,15 @@ class InfiniteCoxeterGroup(GeometricGroup):
         )
 
     def parabolic_longest(self, J):
-        """Longest element of W_J; requires that parabolic to be finite."""
+        """Longest element of W_J; requires that parabolic to be finite.
+
+        A pair in J with m = infinity makes W_J infinite, so it is refused
+        before any roots are closed.
+        """
         J = sorted(set(J))
         sub = [[self.matrix.order(i, j) for j in J] for i in J]
+        if any(INFINITE_BOND in row for row in sub):
+            raise SpecError(f"parabolic on {J} is not finite")
         sub_roots = generate_root_system(CoxeterMatrix(sub), max_depth=256)
         if not sub_roots.complete:
             raise SpecError(f"parabolic on {J} is not finite")
@@ -237,6 +243,11 @@ class Ball:
         self._involutions = involutions
         self._root_depth = max(radius, root_depth or 0, 1)
         self._nbits = {}
+
+    @cached_property
+    def _involution_bits(self):
+        """(involution, n_bits) for every involution of the ball."""
+        return [(z, self.n_bits(z)) for z in self._involutions]
 
     @cached_property
     def root_system(self):
@@ -271,16 +282,13 @@ class Ball:
         """Exact edge test for involutions in the ball."""
         return self.n_bits(x) & self.n_bits(y) == 0
 
-    def common_neighbors(self, x, y, candidates=None):
-        pool = self.involutions() if candidates is None else candidates
-        bx, by = self.n_bits(x), self.n_bits(y)
-        return [
-            z
-            for z in pool
-            if z.key != x.key and z.key != y.key
-            and self.n_bits(z) & bx == 0
-            and self.n_bits(z) & by == 0
-        ]
+    def common_neighbors(self, x, y):
+        """The involutions of the ball adjacent to both x and y.
+
+        x and y themselves never pass: their non-empty N-sets meet the mask.
+        """
+        mask = self.n_bits(x) | self.n_bits(y)
+        return [z for z, bits in self._involution_bits if bits & mask == 0]
 
     def degree_within(self, x):
         return sum(
@@ -445,12 +453,11 @@ def _universal_evidence(group, radius, extra):
     )
 
     failures = []
-    big_invs = big.involutions()
     for i, x in enumerate(small_invs):
         for y in small_invs[i + 1 :]:
             if big.is_adjacent(x, y):
                 continue
-            if not big.common_neighbors(x, y, big_invs):
+            if not big.common_neighbors(x, y):
                 failures.append((x, y))
     claims.append(
         Claim(
@@ -476,29 +483,23 @@ def _universal_evidence(group, radius, extra):
 def _max_parabolic_evidence(group, radius, extra):
     """Diameter-3 certificate from two finite maximal parabolic subgroups."""
     R = set(group.generators)
-    pair = None
+    longest = {}  # the first two r whose maximal parabolic on R - {r} is finite
     for r in sorted(R):
-        for s in sorted(R):
-            if s <= r:
-                continue
-            try:
-                x = group.parabolic_longest(R - {r})
-                y = group.parabolic_longest(R - {s})
-            except (SpecError, ToleranceError):
-                continue
-            pair = (r, s, x, y)
-            break
-        if pair:
+        try:
+            longest[r] = group.parabolic_longest(R - {r})
+        except (SpecError, ToleranceError):
+            continue
+        if len(longest) == 2:
             break
     claims = []
-    if pair is None:
+    if len(longest) < 2:
         claims.append(
             Claim("two finite maximal parabolic subgroups exist", False, {})
         )
         return EvidenceReport(
             "max-parabolic-diameter-3", group.label, radius, extra, 3, claims
         )
-    r, s, x, y = pair
+    (r, x), (s, y) = longest.items()
     claims.append(
         Claim(
             "two finite maximal parabolic subgroups exist",
@@ -636,12 +637,11 @@ def product_diameter_check(specs, radius, extra=2):
 
     failures = []
     padded_used = None
-    big_invs = big.involutions()
     for i, x in enumerate(small_invs):
         for y in small_invs[i + 1 :]:
             if big.is_adjacent(x, y):
                 continue
-            mids = big.common_neighbors(x, y, big_invs)
+            mids = big.common_neighbors(x, y)
             if not mids:
                 failures.append((x, y))
                 continue

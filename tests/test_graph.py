@@ -9,6 +9,7 @@ import pytest
 
 from e0graph import graph as gr
 from e0graph.coxeter import CoxeterGroup, Element, SpecError, _iter_bits, format_word
+from e0graph.tables import dihedral_distribution
 from e0graph.verify import SUITE
 from e0graph.graph import (
     build_graph,
@@ -73,24 +74,92 @@ def test_walk_e7():
 
 
 def test_budget_refuses_during_the_walk(monkeypatch):
+    cached = CoxeterGroup.from_spec("A5")
+    assert len(enumerate_involutions(cached)) == 75  # walked under the real budget
     monkeypatch.setattr(gr, "ADJACENCY_BUDGET", 50)  # 20 vertices; A5 has 75
     grp = CoxeterGroup.from_spec("A5")
     with pytest.raises(SpecError, match="A5 has more than 20 involutions"):
         build_graph(grp)
     assert grp._involution_perms is None  # the walk was cut short
-    enumerate_involutions(grp, limit=75)
     with pytest.raises(SpecError, match="more than 20"):
-        build_graph(grp)  # the cached walk is held to the budget too
+        build_graph(cached)  # the cached walk is held to the budget too
 
 
-def test_pure_python_pair_budget(monkeypatch):
-    grp = CoxeterGroup.from_spec("I2(65)")  # 65 reflections, 65 positive roots
-    assert len(build_graph(CoxeterGroup.from_spec("I2(65)"))) == 65
-    monkeypatch.setattr(gr, "PYTHON_PAIR_BUDGET", 64 * 64)
-    with pytest.raises(SpecError, match="I2\\(65\\) has more than 64"):
-        build_graph(grp)
-    assert len(build_graph(CoxeterGroup.from_spec("A5"))) == 75  # 15-bit N-sets
-    assert len(enumerate_involutions(grp)) == 65  # only build_graph is held
+def test_e8_is_refused_by_the_adjacency_budget():
+    with pytest.raises(SpecError, match="E8 has more than 92681 involutions"):
+        build_graph(CoxeterGroup.from_spec("E8"))
+
+
+# N-sets of 63 and 64 bits fill one uint64 word, 65 and 127 bits two
+@pytest.mark.parametrize("m", [63, 64, 65, 127])
+def test_dihedral_distribution_across_the_word_boundary(m):
+    grp = CoxeterGroup.from_spec(f"I2({m})")
+    assert grp.n_set_words([grp.identity_perm]).shape == (-(-m // 64), 1)
+    assert valency_distribution(build_graph(grp)) == dihedral_distribution(m)
+
+
+def _loop_n_bits(grp, perm):
+    P = grp.pos_count
+    return sum(1 << p for p in range(P) if perm[p] >= P)
+
+
+@pytest.mark.parametrize("label", ["D5", "I2(127)"])
+def test_n_set_packing_matches_a_loop(label):
+    grp = CoxeterGroup.from_spec(label)
+    perms = [e.perm for e in enumerate_involutions(grp)]
+    want = [_loop_n_bits(grp, p) for p in perms]
+    assert [grp._n_bits(p) for p in perms] == want
+    words = grp.n_set_words(perms)
+    assert words.dtype == np.dtype("<u8") and words.shape[1] == len(perms)
+    got = [sum(int(w) << (64 * k) for k, w in enumerate(col)) for col in words.T]
+    assert got == want
+
+
+@pytest.mark.parametrize("chunk", [gr.CHUNK_BYTES, 8])
+@pytest.mark.parametrize("label", ["I2(65)", "A1xI2(64)"])
+def test_two_word_rows_match_int_bitsets(monkeypatch, chunk, label):
+    monkeypatch.setattr(gr, "CHUNK_BYTES", chunk)
+    grp = CoxeterGroup.from_spec(label)
+    assert grp.pos_count == 65
+    invs = enumerate_involutions(grp)
+    nbits = [grp._n_bits(e.perm) for e in invs]
+    want = [
+        sum(1 << j for j, b in enumerate(nbits) if a & b == 0) for a in nbits
+    ]
+    assert gr._pairwise_disjoint_rows(grp.n_set_words([e.perm for e in invs])) == want
+
+
+def _product_counts(a, b):
+    """(V, E) of E0(W1 x W2) from (V, E) of the factors' graphs.
+
+    An involution of W1 x W2 is a pair of involutions or identities, not both
+    the identity.  Ordered pairs (x, y) of involutions or identities with
+    disjoint N-sets number S = 2E + 2V + 1 (each edge both ways, x with 1
+    both ways, and (1, 1)).  N-sets in the product are disjoint iff they are
+    in each coordinate, so the product has S1 S2 such pairs.
+    """
+    (v1, e1), (v2, e2) = a, b
+    V = (v1 + 1) * (v2 + 1) - 1
+    return V, ((2 * e1 + 2 * v1 + 1) * (2 * e2 + 2 * v2 + 1) - 2 * V - 1) // 2
+
+
+def test_e7xa1_matches_the_product_formula():
+    counts = [(len(g), g.edge_count()) for g in (graph("E7"), graph("A1"))]
+    assert counts == [(10207, 360564), (1, 0)]
+    grp = CoxeterGroup.from_spec("E7xA1")  # 64 positive roots: one full word
+    assert grp.pos_count == 64 and grp.n_set_words([grp.identity_perm]).shape == (1, 1)
+    g = build_graph(grp)
+    assert (len(g), g.edge_count()) == _product_counts(*counts) == (20415, 1091899)
+
+
+def test_build_packs_n_sets_in_one_call(monkeypatch):
+    def no_loop(self, a):
+        raise AssertionError("build_graph read an N-set one vertex at a time")
+
+    monkeypatch.setattr(CoxeterGroup, "_n_bits", no_loop)
+    # valencies 0, 1, 1, 2, 2, ..., 32, 32
+    assert build_graph(CoxeterGroup.from_spec("I2(65)")).edge_count() == 528
+    assert build_graph(CoxeterGroup.from_spec("E7")).edge_count() == 360564
 
 
 def test_is_adjacent_examples():
@@ -231,7 +300,7 @@ def test_rank_one_diameter_undefined():
 
 def test_split_hat_component_is_refused():
     g = graph("A3")
-    bare = E0Graph(g.group, g.vertices, g.nbits, [0] * len(g))
+    bare = E0Graph(g.group, g.vertices, [0] * len(g))
     with pytest.raises(ValueError, match="expected one component away from w0, found 8"):
         components_and_diameter(bare)
 

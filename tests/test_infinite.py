@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from e0graph import infinite
-from e0graph.coxeter import CoxeterMatrix, SpecError, ToleranceError, parse_group_spec
+from e0graph.coxeter import (
+    CoxeterMatrix,
+    SpecError,
+    ToleranceError,
+    generate_root_system,
+    parse_group_spec,
+)
 from e0graph.infinite import (
     InfiniteCoxeterGroup,
     ball_graph_diameter_evidence,
@@ -332,3 +338,61 @@ def test_evidence_json_shape():
     data = ev.to_json_dict()
     assert data["group"] == "U2" and data["diameter_claim"] == 2
     assert all(set(c) == {"description", "ok", "witness"} for c in data["claims"])
+
+
+def test_common_neighbors_match_pairwise_adjacency():
+    ball = enumerate_ball(u(3), 5)
+    invs = ball.involutions()
+    for i, x in enumerate(invs[:40]):
+        for y in invs[i + 1 :]:
+            want = [
+                z for z in invs
+                if z not in (x, y) and ball.is_adjacent(x, z) and ball.is_adjacent(y, z)
+            ]
+            assert ball.common_neighbors(x, y) == want
+
+
+def test_infinite_bond_parabolics_close_no_roots(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return generate_root_system(*args, **kwargs)
+
+    monkeypatch.setattr(infinite, "generate_root_system", counted)
+    grp = InfiniteCoxeterGroup.from_spec("U2xU3")  # every maximal parabolic has m = inf
+    with pytest.raises(SpecError, match="not finite"):
+        grp.parabolic_longest({1, 3, 4})
+    ev = ball_graph_diameter_evidence(grp, 3)
+    assert calls == []
+    assert ev.to_json_dict() == {
+        "kind": "max-parabolic-diameter-3",
+        "group": "U2xU3",
+        "radius": 3,
+        "extra": 2,
+        "diameter_claim": 3,
+        "ok": False,
+        "claims": [
+            {"description": "two finite maximal parabolic subgroups exist",
+             "ok": False, "witness": {}},
+        ],
+    }
+
+
+def test_each_maximal_parabolic_is_looked_up_once(monkeypatch):
+    # A1 x affine A2: R - {1} is infinite with no m = inf bond, so it takes a
+    # root closure to refuse; R - {2} and R - {3} are finite
+    m = [[1, 2, 2, 2], [2, 1, 3, 3], [2, 3, 1, 3], [2, 3, 3, 1]]
+    grp = InfiniteCoxeterGroup(CoxeterMatrix(m))
+    asked = []
+    real = InfiniteCoxeterGroup.parabolic_longest
+
+    def counted(self, J):
+        asked.append(sorted(J))
+        return real(self, J)
+
+    monkeypatch.setattr(InfiniteCoxeterGroup, "parabolic_longest", counted)
+    ev = ball_graph_diameter_evidence(grp, 3)
+    assert asked == [[2, 3, 4], [1, 3, 4], [1, 2, 4]]
+    assert ev.claims[0].ok and ev.claims[0].witness["r"] == 2
+    assert ev.claims[0].witness["s"] == 3
