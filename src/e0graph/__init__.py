@@ -8,56 +8,20 @@ commuting-reflections valency recursion and the classification of the
 valency-1 vertices.  See the README for the command-line interface.
 """
 
-from .coxeter import (
-    CoxeterGroup,
-    CoxeterMatrix,
-    Element,
-    GroupSpec,
-    SpecError,
-    ToleranceError,
-    build_coxeter_matrix,
-    format_word,
-    generate_root_system,
-    parse_group_spec,
-    parse_word,
-)
+from .coxeter import CoxeterGroup, CoxeterMatrix
 from .graph import (
-    E0Graph,
-    InvolutionSet,
-    PendantReport,
-    ValencyDistribution,
     build_graph,
     components_and_diameter,
-    delta1_of_w0x,
     enumerate_involutions,
-    excess,
     graph_distance,
-    is_adjacent,
-    is_sequential,
-    pendant_elements,
     pendant_report,
-    predicted_pendants,
     valency_distribution,
 )
 from .infinite import (
-    Ball,
     InfiniteCoxeterGroup,
-    MatrixElement,
     ball_graph_diameter_evidence,
     enumerate_ball,
     product_diameter_check,
-    universal_neighborhood,
 )
-from .symn import (
-    Matching,
-    delta,
-    delta_bruteforce,
-    delta_closed_form,
-    involution_count,
-    min_length_class_representatives,
-    telephone,
-    wlog_check,
-)
-from .cli import load_group
 
 __version__ = "0.1.0"

@@ -325,13 +325,6 @@ class RootSystem:
     def __len__(self):
         return 2 * self.pos_count
 
-    def root(self, idx):
-        """Coefficient vector of the root at idx (negatives included)."""
-        P = self.pos_count
-        if idx < P:
-            return self.pos_roots[idx]
-        return tuple(-c for c in self.pos_roots[idx - P])
-
     def indices_of(self, vectors):
         """Signed index of each root vector (the rows), or None for a non-root."""
         v = np.asarray(vectors, dtype=float).reshape(-1, self.rank)
@@ -749,12 +742,6 @@ class CoxeterGroup(GeometricGroup):
         self._check_letters(word)
         return Element(self, self._word_perm(word))
 
-    def n_set(self, w):
-        return w.n_set()
-
-    def length(self, w):
-        return w.length
-
     def descent_sets(self, w):
         """(left, right) descent sets as sets of generator indices."""
         P = self.pos_count
@@ -763,19 +750,10 @@ class CoxeterGroup(GeometricGroup):
         return left, right
 
     def longest_element(self):
-        """w0, by greedy ascent with lowest-index tie-breaking."""
+        """w0, the longest element of the parabolic on every generator."""
         if self._w0 is None:
-            a = self.identity_perm
-            word = []
-            P = self.pos_count
-            while True:
-                s = next((i for i in self.generators if a[i - 1] < P), None)
-                if s is None:
-                    break
-                word.append(s)
-                a = self.gen_perm[s].translate(a + self._pad)
-            self._w0 = (a, tuple(word))
-        return Element(self, self._w0[0])
+            self._w0 = self.parabolic_longest(self.generators)
+        return self._w0
 
     def order(self):
         return len(self.enumerate_perms())

@@ -54,9 +54,6 @@ class InvolutionSet:
         self.group = group
         self.elements = elements  # sorted by (length, lexmin word)
         self.index = {e.perm: i for i, e in enumerate(elements)}
-        self.by_length = {}
-        for i, e in enumerate(elements):
-            self.by_length.setdefault(e.length, []).append(i)
 
     def __len__(self):
         return len(self.elements)
@@ -109,6 +106,10 @@ class E0Graph:
 
     def degree(self, i):
         return self.adj[i].bit_count()
+
+    def has_edge(self, i, j):
+        """Whether vertices i and j (indices) are adjacent."""
+        return bool((self.adj[i] >> j) & 1)
 
     def degrees(self):
         return [row.bit_count() for row in self.adj]

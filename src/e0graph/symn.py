@@ -158,7 +158,7 @@ def delta_bruteforce(m, n):
     group = _sym_group(n)
     g = build_graph(group)
     x = canonical_representative(m, n).to_element(group)
-    return g.adj[g.vertices.index_of(x)].bit_count()
+    return g.degree(g.vertices.index_of(x))
 
 
 def wlog_check(m, n):
@@ -168,7 +168,7 @@ def wlog_check(m, n):
     group = _sym_group(n)
     g = build_graph(group)
     degrees = {
-        g.adj[g.vertices.index_of(rep.to_element(group))].bit_count()
+        g.degree(g.vertices.index_of(rep.to_element(group)))
         for rep in min_length_class_representatives(m, n)
     }
     return len(degrees) == 1

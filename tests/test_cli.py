@@ -1,9 +1,14 @@
 """End-to-end command-line checks."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import e0graph
 from e0graph import graph
 from e0graph.cli import main
 from e0graph.coxeter import CoxeterGroup
@@ -180,3 +185,16 @@ def test_custom_json_group(capsys, tmp_path):
     code, out, _ = run(capsys, "valency", "-g", str(path))
     assert code == 0
     assert out.strip() == "0^1.1^2.2^2"
+
+
+def test_module_entry_point_runs_without_warnings():
+    # importing the package must not import e0graph.cli, or `python -m
+    # e0graph.cli` warns that the module was already in sys.modules
+    env = dict(os.environ, PYTHONPATH=str(Path(e0graph.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "e0graph.cli",
+         "delta", "1", "4"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""

