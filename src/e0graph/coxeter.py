@@ -782,13 +782,15 @@ class CoxeterGroup(GeometricGroup):
         return [Element(self, p) for p in self.enumerate_perms()]
 
     def involution_perms(self, limit=None):
-        """The non-identity involutions, as raw permutations (cached).
+        """The non-identity involutions, as a tuple of raw permutations (cached).
 
         Walks up from the identity with the ascending twisted-involution step
         (Richardson-Springer): for an involution x and a generator s with
         l(sx) > l(x), the next involution is sx when s and x commute and sxs
         otherwise.  Every involution is reached, and nothing else is visited.
-        An ascent s commutes with x exactly when x fixes alpha_s.
+        An ascent s commutes with x exactly when x fixes alpha_s.  The tuple
+        is in discovery order (frontier order, then generator order), so it
+        is the same in every run.
 
         With a `limit`, raises SpecError as soon as the walk finds more than
         `limit` involutions, so a group too large for the caller is refused
@@ -798,11 +800,12 @@ class CoxeterGroup(GeometricGroup):
         perms = self._involution_perms
         if perms is None:
             P = self.pos_count
-            cap = math.inf if limit is None else limit + 1  # seen holds 1 too
+            cap = math.inf if limit is None else limit
             seen = {self.identity_perm}
+            found = []
             frontier = [self.identity_perm]
             while frontier:
-                nxt = []
+                start = len(found)
                 for x in frontier:
                     for i in self.generators:
                         image = x[i - 1]
@@ -813,12 +816,11 @@ class CoxeterGroup(GeometricGroup):
                             y = self.gen_perm[i].translate(y + self._pad)  # sxs
                         if y not in seen:
                             seen.add(y)
-                            nxt.append(y)
-                            if len(seen) > cap:
+                            found.append(y)
+                            if len(found) > cap:
                                 raise SpecError(too_many)
-                frontier = nxt
-            seen.discard(self.identity_perm)
-            self._involution_perms = perms = seen
+                frontier = found[start:]
+            self._involution_perms = perms = tuple(found)
         elif limit is not None and len(perms) > limit:
             raise SpecError(too_many)
         return perms

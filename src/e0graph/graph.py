@@ -2,15 +2,19 @@
 
 Vertices are the involutions, produced by the involution walk of
 `CoxeterGroup.involution_perms` (the rest of the group is never visited) and
-ordered by (length, lexmin word); vertex ids in the exports follow that
-order.  x and y are joined exactly when l(xy) = l(x) + l(y), which happens
-iff N(x) and N(y) are disjoint.  The N-sets of all vertices are packed into
-k = ceil(|Phi+| / 64) machine words each (`CoxeterGroup.n_set_words`), so
-building the graph is a pairwise AND over k vectors of words, whatever the
-width.  The adjacency is one V-bit row per vertex.  The walk stops, and the
-group is refused, once it finds more involutions than `vertex_limit`
-allows: V^2/8 adjacency bytes within `ADJACENCY_BUDGET`.  So B8, E7xA1 and
-D9 build, and E8, A11 and A15 are refused.
+numbered by length, ties kept in walk order.  Valencies, components, the
+diameter and the pendants do not depend on that numbering, so no word is
+computed to build or measure the graph.  Only the JSON/DOT exports show
+vertex ids: they number the vertices by (length, lexmin word), through a
+permutation each graph computes once.  x and y are joined exactly when
+l(xy) = l(x) + l(y), which happens iff N(x) and N(y) are disjoint.  The
+N-sets of all vertices are packed into k = ceil(|Phi+| / 64) machine words
+each (`CoxeterGroup.n_set_words`), so building the graph is a pairwise AND
+over k vectors of words, whatever the width.  The adjacency is one V-bit
+row per vertex.  The walk stops, and the group is refused, once it finds
+more involutions than `vertex_limit` allows: V^2/8 adjacency bytes within
+`ADJACENCY_BUDGET`.  So B8, E7xA1 and D9 build, and E8, A11 and A15 are
+refused.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ CHUNK_BYTES = 1 << 20
 # the most bytes build_graph spends on adjacency rows (one bit per vertex pair);
 # E8 would need about 5 GB
 ADJACENCY_BUDGET = 1 << 30
+# the edges the exports format at a time
+EXPORT_BLOCK = 1 << 13
+# stands for the edge list in the JSON export's frame; no label or word holds it
+_MARK = "\0edges"
 
 
 def vertex_limit():
@@ -48,11 +56,16 @@ def vertex_limit():
 
 
 class InvolutionSet:
-    """The non-identity involutions of a finite group, in a stable order."""
+    """The non-identity involutions of a finite group, in a fixed order.
+
+    `enumerate_involutions` orders them by length, ties kept in walk order.
+    Indices are internal: the exports renumber the vertices (see
+    `E0Graph.to_json`).
+    """
 
     def __init__(self, group, elements):
         self.group = group
-        self.elements = elements  # sorted by (length, lexmin word)
+        self.elements = elements
         self.index = {e.perm: i for i, e in enumerate(elements)}
 
     def __len__(self):
@@ -71,8 +84,9 @@ class InvolutionSet:
 def enumerate_involutions(group):
     """All w != 1 with w^2 = 1, from the involution walk (cached).
 
-    Raises SpecError, without finishing the walk, once it finds more than
-    `vertex_limit()` involutions.
+    Ordered by a stable sort on length, so ties keep the walk's order and
+    no word is computed.  Raises SpecError, without finishing the walk, once
+    it finds more than `vertex_limit()` involutions.
     """
     if not isinstance(group, CoxeterGroup):
         raise SpecError(f"{group.label} is infinite; use the ball explorer")
@@ -80,9 +94,10 @@ def enumerate_involutions(group):
     cached = getattr(group, "_involutions", None)
     if cached is not None:
         return cached
-    elements = [Element(group, p) for p in perms]
-    elements.sort(key=Element.sort_key)
-    invset = InvolutionSet(group, elements)
+    P = group.pos_count
+    a = np.frombuffer(b"".join(perms), dtype=np.uint8).reshape(len(perms), 2 * P)
+    order = np.argsort(np.count_nonzero(a[:, :P] >= P, axis=1), kind="stable")
+    invset = InvolutionSet(group, [Element(group, perms[i]) for i in order.tolist()])
     group._involutions = invset
     return invset
 
@@ -100,6 +115,7 @@ class E0Graph:
         self.group = group
         self.vertices = vertices
         self.adj = adj  # adjacency bitset per vertex (over vertex indices)
+        self._export = None  # (words, rank), see _export_order
 
     def __len__(self):
         return len(self.vertices)
@@ -117,47 +133,87 @@ class E0Graph:
     def edge_count(self):
         return sum(self.degrees()) // 2
 
-    def _edge_runs(self):
-        """The edges (i, j), i < j, in row-major order, one row block at a time."""
+    def _edge_arrays(self):
+        """The edges as (i, j) index arrays, i < j, in row-major order, one
+        row block at a time."""
         V = len(self.adj)
-        ids = list(range(V))  # one int object per vertex, shared by its edges
         for start, bits in _bit_blocks(_packed_rows(self.adj, V), V):
             i, j = np.divmod(np.flatnonzero(bits) + start * V, V)
             upper = j > i
-            yield zip(map(ids.__getitem__, i[upper].tolist()),
-                      map(ids.__getitem__, j[upper].tolist()))
+            yield i[upper], j[upper]
 
     def edges(self):
         """Every edge (i, j), i < j, in row-major order."""
-        return list(chain.from_iterable(self._edge_runs()))
+        return [e for i, j in self._edge_arrays() for e in zip(i.tolist(), j.tolist())]
 
     def neighborhood(self, x):
         """The set of vertices adjacent to x."""
         i = self.vertices.index_of(x)
         return {self.vertices.elements[j] for j in _iter_bits(self.adj[i])}
 
-    def to_json_dict(self):
-        verts = [
-            {"id": i, "word": format_word(e.word), "length": e.length}
-            for i, e in enumerate(self.vertices)
-        ]
-        return {
-            "group": self.group.label,
-            "vertices": verts,
-            "edges": self.edges(),  # json writes each (i, j) tuple as [i, j]
-        }
+    def _export_order(self):
+        """(words, rank): the lexmin words in export order, and the export id
+        of each vertex index.  Export ids number the vertices by (length,
+        lexmin word); the words are computed here only, once per graph."""
+        if self._export is None:
+            words = [e.word for e in self.vertices]
+            # a lexmin word is reduced, so its length is the element's
+            order = sorted(range(len(words)), key=lambda i: (len(words[i]), words[i]))
+            rank = np.empty(len(order), dtype=np.int64)
+            rank[order] = np.arange(len(order))
+            self._export = [words[i] for i in order], rank
+        return self._export
+
+    def _export_edges(self):
+        """The edges in export ids: (i, j) arrays, i < j, in row-major order,
+        `EXPORT_BLOCK` edges at a time.  Each edge is coded i * V + j, and
+        one sort of the codes gives the row-major order."""
+        _, rank = self._export_order()
+        V = len(rank)
+        codes = []
+        for i, j in self._edge_arrays():
+            a, b = rank[i], rank[j]
+            codes.append(np.minimum(a, b) * V + np.maximum(a, b))
+        codes = np.sort(np.concatenate(codes))
+        for start in range(0, len(codes), EXPORT_BLOCK):
+            yield np.divmod(codes[start : start + EXPORT_BLOCK], V)
 
     def to_json(self, **kwargs):
-        return json.dumps(self.to_json_dict(), **kwargs)
+        """`json.dumps(doc, **kwargs)` of the graph in export ids, where doc is
+        {"group", "vertices": [{"id", "word", "length"}, ...], "edges": [[i, j], ...]}.
+
+        The edge list is never built whole.  Each block of edges is encoded
+        on its own, in a one-key object so that it sits as deep as in doc,
+        and the blocks are spliced in where a marker stood.
+        """
+        words, _ = self._export_order()
+        doc = {
+            "group": self.group.label,
+            "vertices": [
+                {"id": i, "word": format_word(w), "length": len(w)}
+                for i, w in enumerate(words)
+            ],
+            "edges": [],
+        }
+        if not any(self.adj):
+            return json.dumps(doc, **kwargs)
+        mark = json.dumps(_MARK)
+        doc["edges"] = [_MARK]
+        head, tail = json.dumps(doc, **kwargs).split(mark)
+        lead, sep, end = json.dumps({"edges": [_MARK, _MARK]}, **kwargs).split(mark)
+        body = []
+        for i, j in self._export_edges():
+            text = json.dumps({"edges": np.stack((i, j), axis=1).tolist()}, **kwargs)
+            body.append(text[len(lead) : len(text) - len(end)])
+        return head + sep.join(body) + tail
 
     def to_dot(self):
+        words, _ = self._export_order()
         lines = [f'graph "{self.group.label}" {{']
-        for i, e in enumerate(self.vertices):
-            lines.append(f'  v{i} [label="{format_word(e.word)}"];')
-        for run in self._edge_runs():  # one string per row block, not per edge
-            block = "\n".join(f"  v{i} -- v{j};" for i, j in run)
-            if block:
-                lines.append(block)
+        lines.extend(f'  v{i} [label="{format_word(w)}"];' for i, w in enumerate(words))
+        for i, j in self._export_edges():  # one string per block, not per edge
+            pairs = zip(i.tolist(), j.tolist())
+            lines.append("\n".join(f"  v{a} -- v{b};" for a, b in pairs))
         lines.append("}")
         return "\n".join(lines)
 
@@ -271,6 +327,7 @@ def components_and_diameter(g):
     matrices (the balls, and the next balls of the rows still growing), the
     closed neighbour lists (2E + V indices) and one gather buffer, the
     larger of `CHUNK_BYTES` and the largest closed neighbourhood's rows.
+    Vertex indices are the internal ones of `InvolutionSet`, not export ids.
     Raises for rank-1 groups, whose "hat" component is empty and has no
     diameter.
     """
@@ -387,7 +444,7 @@ def excess(group, w):
     lw = w.length
     ident = group.identity
     best = None
-    for x in [ident] + list(invs):
+    for x in chain((ident,), invs):
         y = x.inverse() * w
         if not (y.is_identity() or y.is_involution()):
             continue

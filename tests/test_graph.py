@@ -1,8 +1,14 @@
 """The graph itself: adjacency, valencies, components, pendants, excess."""
 
+import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +21,7 @@ from e0graph.graph import (
     build_graph,
     components_and_diameter,
     E0Graph,
+    InvolutionSet,
     delta1_of_w0x,
     enumerate_involutions,
     excess,
@@ -47,12 +54,23 @@ def test_involution_counts(label, count):
     assert len(enumerate_involutions(group(label))) == count
 
 
+def _export_elements(g):
+    """The vertices of g in export-id order; checks the export's words."""
+    words, rank = g._export_order()
+    assert sorted(rank.tolist()) == list(range(len(g)))
+    elems = [g.vertices.elements[i] for i in np.argsort(rank)]
+    assert [e.word for e in elems] == words
+    return elems
+
+
 def test_involution_set_structure():
     invs = enumerate_involutions(group("A3"))
-    keys = [e.sort_key() for e in invs]
-    assert keys == sorted(keys)  # stable (length, word) order
+    lengths = [e.length for e in invs]
+    assert lengths == sorted(lengths)  # internal order: by length
     for e in invs:
         assert e.is_involution()
+    keys = [e.sort_key() for e in _export_elements(graph("A3"))]
+    assert keys == sorted(keys)  # export order: (length, word)
 
 
 @pytest.mark.parametrize("label", SUITE + ("D7", "H4", "E6"))
@@ -60,16 +78,81 @@ def test_walk_matches_full_enumeration(label):
     grp = CoxeterGroup.from_spec(label)  # fresh: keeps the full group uncached
     full = [Element(grp, p) for p in grp.enumerate_perms()]
     want = sorted((e for e in full if e.is_involution()), key=Element.sort_key)
-    assert [e.perm for e in enumerate_involutions(grp)] == [e.perm for e in want]
+    invs = enumerate_involutions(grp)
+    assert len(invs) == len(want)
+    assert {e.perm for e in invs} == {e.perm for e in want}
+    assert all(e.is_involution() for e in invs)
+    lengths = [e.length for e in invs]
+    assert lengths == sorted(lengths)
+    assert [e.perm for e in _export_elements(build_graph(grp))] == [e.perm for e in want]
 
 
 def test_walk_e7():
     grp = CoxeterGroup.from_spec("E7")
     invs = list(enumerate_involutions(grp))
     assert len(invs) == 10207
+    assert len({e.perm for e in invs}) == 10207
     assert all(e.is_involution() for e in invs)
-    keys = [e.sort_key() for e in invs]
+    lengths = [e.length for e in invs]
+    assert lengths == sorted(lengths)
+    keys = [e.sort_key() for e in _export_elements(build_graph(grp))]
     assert keys == sorted(keys)
+
+
+def test_walk_order_ignores_the_hash_seed():
+    script = ("import hashlib; from e0graph import CoxeterGroup, enumerate_involutions; "
+              "invs = enumerate_involutions(CoxeterGroup.from_spec('E6')); "
+              "print(hashlib.sha256(b''.join(e.perm for e in invs)).hexdigest())")
+    env = dict(os.environ, PYTHONPATH=str(Path(gr.__file__).parents[1]))
+    digests = {
+        subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                       check=True, env=dict(env, PYTHONHASHSEED=seed)).stdout
+        for seed in ("0", "1")
+    }
+    assert len(digests) == 1
+
+
+def test_no_word_before_the_exports(monkeypatch):
+    def refuse(self, a):
+        raise AssertionError("a lexmin word was computed")
+
+    monkeypatch.setattr(CoxeterGroup, "_lexmin_word", refuse)
+    for label, V in (("E6", 891), ("E7", 10207)):
+        grp = CoxeterGroup.from_spec(label)
+        g = build_graph(grp)
+        assert len(g) == V
+        assert valency_distribution(g).total == V
+        assert len(components_and_diameter(g)[0]) == 2
+        assert len(pendant_elements(g)) == grp.rank
+        assert sum(g.degrees()) == 2 * g.edge_count()
+
+
+def test_exports_compute_each_word_once(monkeypatch):
+    calls = []
+    lexmin = CoxeterGroup._lexmin_word
+
+    def counted(self, a):
+        calls.append(a)
+        return lexmin(self, a)
+
+    monkeypatch.setattr(CoxeterGroup, "_lexmin_word", counted)
+    g = build_graph(CoxeterGroup.from_spec("A5"))
+    g.to_json(), g.to_json(indent=2), g.to_dot()
+    assert len(calls) == len(g) == 75
+
+
+@pytest.mark.parametrize("label", ["A5", "B2xA1xA2"])
+def test_exports_ignore_the_vertex_order(label):
+    grp = CoxeterGroup.from_spec(label)
+    g = build_graph(grp)
+    elems = list(g.vertices)
+    random.Random(label).shuffle(elems)
+    assert elems != g.vertices.elements
+    rows = gr._pairwise_disjoint_rows(grp.n_set_words([e.perm for e in elems]))
+    shuffled = E0Graph(grp, InvolutionSet(grp, elems), rows)
+    assert shuffled.to_json() == g.to_json()
+    assert shuffled.to_json(indent=2) == g.to_json(indent=2)
+    assert shuffled.to_dot() == g.to_dot()
 
 
 def test_budget_refuses_during_the_walk(monkeypatch):
@@ -515,13 +598,37 @@ def test_graph_json_shape():
 def test_edges_match_bit_rows(label, chunk, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(gr, "CHUNK_BYTES", chunk)
+        monkeypatch.setattr(gr, "EXPORT_BLOCK", 3)
     g = graph(label)
     want = [(i, j) for i, row in enumerate(g.adj) for j in _iter_bits(row) if j > i]
     assert g.edges() == want
     assert len(want) == g.edge_count()
+    _, rank = g._export_order()
+    exported = sorted(tuple(sorted((int(rank[i]), int(rank[j])))) for i, j in want)
     dot = [line for line in g.to_dot().splitlines() if " -- " in line]
-    assert dot == [f"  v{i} -- v{j};" for i, j in want]
-    assert json.loads(g.to_json())["edges"] == [[i, j] for i, j in want]
+    assert dot == [f"  v{i} -- v{j};" for i, j in exported]
+    assert json.loads(g.to_json())["edges"] == [[i, j] for i, j in exported]
+
+
+# SHA-256 of to_json(indent=...) when the export encoded one whole document
+JSON_SHA256 = {
+    ("A1", None): "c676acadab9a275bc709ee1a310bf35204584a94408db3be03a03a87aa1327f9",
+    ("A1", 2): "470b6dc7df91c5bd98fb99b88cdabc06286e66d95e21e2addd557f4b36e99a28",
+    ("A2", None): "4a86dbbd06ec9ddd9db9fd00995d410c207f385727c9a6f07dd9ac68518dbae3",
+    ("A2", 2): "c6cb803836935e9df00f3a10396f6b04499b30240b46e2bf039649642165cbf0",
+    ("A5", None): "7e1c1fe8ed6e4ea40f3879935c50e71395ac657dd303fdc0ecc49c185d87efd0",
+    ("A5", 2): "5e560391dd9e280f48ca2b819065e121eced099c2084ff2cbac05fe7cd6168d6",
+    ("B2xA1xA2", None): "f5d9660a65c72424b7cdbaa88978256024f8e82423ebfc1224951c6bc829062f",
+    ("B2xA1xA2", 2): "d0a1b5c2c3d246174e3e87ac89344b0e9bf8018017b20322399d979543a4cc7d",
+}
+
+
+@pytest.mark.parametrize("label,indent", sorted(JSON_SHA256, key=str))
+def test_json_export_is_one_document(label, indent, monkeypatch):
+    monkeypatch.setattr(gr, "EXPORT_BLOCK", 4)  # several blocks even on A5
+    text = build_graph(CoxeterGroup.from_spec(label)).to_json(indent=indent)
+    assert json.dumps(json.loads(text), indent=indent) == text
+    assert hashlib.sha256(text.encode()).hexdigest() == JSON_SHA256[label, indent]
 
 
 @pytest.mark.parametrize("label", ["A4", "B3", "I2(65)"])
