@@ -844,20 +844,6 @@ class CoxeterGroup(GeometricGroup):
                 return False
         return True
 
-    def parabolic_factorize(self, w, J):
-        """The unique (y, x) with w = y x, y in W_J, x in X_J; lengths add."""
-        J = self._check_parabolic(J)
-        x = w.perm
-        y_letters = []
-        while True:
-            desc = self._left_descents(x)
-            s = min((j for j in J if j - 1 in desc), default=None)
-            if s is None:
-                break
-            y_letters.append(s)
-            x = x.translate(self.gen_table[s])  # strip left descent s
-        return self.element_from_word(tuple(y_letters)), Element(self, x)
-
     def coset_representatives(self, J, side="right"):
         """Distinguished coset representatives of W_J.
 

@@ -10,9 +10,11 @@ permutation each graph computes once.  x and y are joined exactly when
 l(xy) = l(x) + l(y), which happens iff N(x) and N(y) are disjoint.  The
 N-sets of all vertices are packed into k = ceil(|Phi+| / 64) machine words
 each (`CoxeterGroup.n_set_words`), so building the graph is a pairwise AND
-over k vectors of words, whatever the width.  The adjacency is one V-bit
-row per vertex.  The walk stops, and the group is refused, once it finds
-more involutions than `vertex_limit` allows: V^2/8 adjacency bytes within
+over k vectors of words, whatever the width.  The adjacency is one packed
+V x ceil(V/64) little-endian uint64 matrix, `E0Graph.rows` (bit j of row i
+set iff i and j are joined, zero padding past column V), and every reader
+uses it as it is.  The walk stops, and the group is refused, once it finds
+more involutions than `vertex_limit` allows: a matrix within
 `ADJACENCY_BUDGET`.  So B8, E7xA1 and D9 build, and E8, A11 and A15 are
 refused.
 """
@@ -31,7 +33,6 @@ from .coxeter import (
     CoxeterGroup,
     Element,
     SpecError,
-    _iter_bits,
     ascending,
     descending,
     format_word,
@@ -39,10 +40,9 @@ from .coxeter import (
 )
 
 # the working-set size of one block of the numpy kernels: the build's AND
-# temporary, the unpacked bit rows and the reach pass's gather
+# temporary, the unpacked bit rows and the gathers of the row unions
 CHUNK_BYTES = 1 << 20
-# the most bytes build_graph spends on adjacency rows (one bit per vertex pair);
-# E8 would need about 5 GB
+# the most bytes build_graph spends on the adjacency matrix; E8 would need about 5 GB
 ADJACENCY_BUDGET = 1 << 30
 # the edges the exports format at a time
 EXPORT_BLOCK = 1 << 13
@@ -51,8 +51,12 @@ _MARK = "\0edges"
 
 
 def vertex_limit():
-    """The most involutions the graph layer takes on."""
-    return isqrt(8 * ADJACENCY_BUDGET)
+    """The most involutions the graph layer takes on: the largest V whose
+    V x ceil(V/64) uint64 adjacency matrix fits `ADJACENCY_BUDGET`."""
+    V = isqrt(8 * ADJACENCY_BUDGET)  # V^2/8 bytes, before rounding rows up to words
+    while V * -(-V // 64) * 8 > ADJACENCY_BUDGET:
+        V -= 1
+    return V
 
 
 class InvolutionSet:
@@ -109,26 +113,35 @@ def is_adjacent(x, y):
 
 
 class E0Graph:
-    """The graph itself: involution vertices plus bitset adjacency rows."""
+    """The graph itself: the involution vertices and the adjacency matrix `rows`."""
 
-    def __init__(self, group, vertices, adj):
+    def __init__(self, group, vertices, rows):
         self.group = group
         self.vertices = vertices
-        self.adj = adj  # adjacency bitset per vertex (over vertex indices)
+        self.rows = rows
         self._export = None  # (words, rank), see _export_order
+
+    @property
+    def adj(self):
+        """The rows as V-bit ints, for the benchmark's distance oracle
+        (`perfbench/workloads.py::_distance_ok`) only; nothing in the library
+        reads it.  Goes once that oracle calls `has_edge`."""
+        return [int.from_bytes(row.tobytes(), "little") for row in self.rows]
 
     def __len__(self):
         return len(self.vertices)
 
     def degree(self, i):
-        return self.adj[i].bit_count()
+        return int(np.bitwise_count(self.rows[i]).sum())
 
     def has_edge(self, i, j):
         """Whether vertices i and j (indices) are adjacent."""
-        return bool((self.adj[i] >> j) & 1)
+        return bool(self.rows[i, j >> 6] >> (j & 63) & 1)
 
     def degrees(self):
-        return [row.bit_count() for row in self.adj]
+        step = max(1, CHUNK_BYTES // self.rows.strides[0])  # bounds the popcount temporary
+        return [d for s in range(0, len(self), step)
+                for d in np.bitwise_count(self.rows[s : s + step]).sum(axis=1).tolist()]
 
     def edge_count(self):
         return sum(self.degrees()) // 2
@@ -136,8 +149,8 @@ class E0Graph:
     def _edge_arrays(self):
         """The edges as (i, j) index arrays, i < j, in row-major order, one
         row block at a time."""
-        V = len(self.adj)
-        for start, bits in _bit_blocks(_packed_rows(self.adj, V), V):
+        V = len(self.rows)
+        for start, bits in _bit_blocks(self.rows):
             i, j = np.divmod(np.flatnonzero(bits) + start * V, V)
             upper = j > i
             yield i[upper], j[upper]
@@ -149,7 +162,7 @@ class E0Graph:
     def neighborhood(self, x):
         """The set of vertices adjacent to x."""
         i = self.vertices.index_of(x)
-        return {self.vertices.elements[j] for j in _iter_bits(self.adj[i])}
+        return {self.vertices.elements[j] for j in _set_bits(self.rows[i]).tolist()}
 
     def _export_order(self):
         """(words, rank): the lexmin words in export order, and the export id
@@ -182,9 +195,10 @@ class E0Graph:
         """`json.dumps(doc, **kwargs)` of the graph in export ids, where doc is
         {"group", "vertices": [{"id", "word", "length"}, ...], "edges": [[i, j], ...]}.
 
-        The edge list is never built whole.  Each block of edges is encoded
-        on its own, in a one-key object so that it sits as deep as in doc,
-        and the blocks are spliced in where a marker stood.
+        The edge list is never built whole, and json never encodes an edge.
+        doc is encoded once with two edges of markers in place of the edge
+        list; the text between the markers is what json writes inside an
+        edge and between two edges, and every edge is formatted with it.
         """
         words, _ = self._export_order()
         doc = {
@@ -195,16 +209,14 @@ class E0Graph:
             ],
             "edges": [],
         }
-        if not any(self.adj):
+        if not self.rows.any():
             return json.dumps(doc, **kwargs)
-        mark = json.dumps(_MARK)
-        doc["edges"] = [_MARK]
-        head, tail = json.dumps(doc, **kwargs).split(mark)
-        lead, sep, end = json.dumps({"edges": [_MARK, _MARK]}, **kwargs).split(mark)
-        body = []
-        for i, j in self._export_edges():
-            text = json.dumps({"edges": np.stack((i, j), axis=1).tolist()}, **kwargs)
-            body.append(text[len(lead) : len(text) - len(end)])
+        doc["edges"] = [[_MARK, _MARK], [_MARK, _MARK]]
+        head, mid, sep, _, tail = json.dumps(doc, **kwargs).split(json.dumps(_MARK))
+        body = (  # one string per block, not per edge
+            sep.join(f"{a}{mid}{b}" for a, b in zip(i.tolist(), j.tolist()))
+            for i, j in self._export_edges()
+        )
         return head + sep.join(body) + tail
 
     def to_dot(self):
@@ -236,43 +248,39 @@ def build_graph(group):
 
 
 def _pairwise_disjoint_rows(words):
-    """Adjacency rows: bit j of row i set iff N-sets i and j are disjoint.
+    """The adjacency matrix: bit j of row i set iff N-sets i and j are disjoint.
 
     `words` is the (k, V) word-major N-set array of `n_set_words`.  Identity
     is excluded from the vertex set, so every N-set is non-empty and the
     diagonal comes out empty by itself.  Rows are built in blocks whose
-    uint64 AND temporaries stay within `CHUNK_BYTES` each.
+    uint64 AND temporaries stay within `CHUNK_BYTES` each, and each block is
+    packed straight into the zeroed matrix.
     """
     V = words.shape[1]
-    if V == 0:
-        return []
-    rows = []
-    block = max(1, CHUNK_BYTES // (8 * V))
+    rows = np.zeros((V, -(-V // 64)), dtype="<u8")
+    out = rows.view(np.uint8)
+    block = max(1, CHUNK_BYTES // (8 * max(V, 1)))
     for start in range(0, V, block):
         meet = words[0, start : start + block, None] & words[0, None, :]
         for word in words[1:]:
             meet |= word[start : start + block, None] & word[None, :]
         packed = np.packbits(meet == 0, axis=1, bitorder="little")
-        for row in packed:
-            rows.append(int.from_bytes(row.tobytes(), "little"))
+        out[start : start + len(packed), : packed.shape[1]] = packed
     return rows
 
 
-def _packed_rows(rows, V):
-    """V-bit int rows as a writable len(rows) x ceil(V/64) little-endian uint64 matrix."""
-    nbytes = 8 * -(-V // 64)
-    buf = bytearray(len(rows) * nbytes)
-    for i, r in enumerate(rows):
-        buf[i * nbytes : (i + 1) * nbytes] = r.to_bytes(nbytes, "little")
-    return np.frombuffer(buf, dtype="<u8").reshape(len(rows), nbytes // 8)
+def _set_bits(row):
+    """The indices of the set bits of a packed row, ascending."""
+    return np.flatnonzero(np.unpackbits(row.view(np.uint8), bitorder="little"))
 
 
-def _bit_blocks(packed, V):
-    """(start, bool block) pairs: rows start.. of `packed` unpacked to V
-    columns each, in blocks of about `CHUNK_BYTES`."""
+def _bit_blocks(rows):
+    """(start, bool block) pairs: rows start.. of a packed V x ceil(V/64)
+    matrix unpacked to V columns each, in blocks of about `CHUNK_BYTES`."""
+    V = len(rows)
     step = max(1, CHUNK_BYTES // max(V, 1))
-    for start in range(0, len(packed), step):
-        block = packed[start : start + step].view(np.uint8)
+    for start in range(0, V, step):
+        block = rows[start : start + step].view(np.uint8)
         yield start, np.unpackbits(block, axis=1, count=V, bitorder="little").view(bool)
 
 
@@ -284,10 +292,7 @@ class ValencyDistribution:
 
     @classmethod
     def from_graph(cls, g):
-        counts = {}
-        for d in g.degrees():
-            counts[d] = counts.get(d, 0) + 1
-        return cls(tuple(sorted(counts.items())))
+        return cls.from_pairs(zip(*np.unique(g.degrees(), return_counts=True)))
 
     @classmethod
     def from_pairs(cls, pairs):
@@ -316,18 +321,19 @@ def valency_distribution(g):
 def components_and_diameter(g):
     """Connected components plus the diameter of the component without w0.
 
-    Components come from a frontier search over the adjacency rows, listed
-    by lowest vertex index.  For the diameter, every hat vertex's ball grows
-    one radius per pass as a packed bit row: the next ball is the OR of the
-    balls over the closed neighbourhood, gathered with `take` and ORed with
-    `bitwise_or.reduceat`, `CHUNK_BYTES` of rows at a time so the gather
-    stays in cache.  Radius 1 is the closed neighbourhood itself.  A row
-    that has become the whole hat leaves the passes, and the last pass that
-    finishes a row gives the diameter.  Memory: two V x ceil(V/64) uint64
-    matrices (the balls, and the next balls of the rows still growing), the
-    closed neighbour lists (2E + V indices) and one gather buffer, the
-    larger of `CHUNK_BYTES` and the largest closed neighbourhood's rows.
-    Vertex indices are the internal ones of `InvolutionSet`, not export ids.
+    Components come from a frontier search over the adjacency rows
+    (`_layer`), listed by lowest vertex index.  For the diameter, every
+    hat vertex's ball grows one radius per pass as a packed bit row: the
+    next ball is the OR of the balls over the closed neighbourhood, gathered
+    with `take` and ORed with `bitwise_or.reduceat`, `CHUNK_BYTES` of rows at
+    a time so the gather stays in cache.  Radius 1 is the closed
+    neighbourhood itself.  A row that has become the whole hat leaves the
+    passes, and the last pass that finishes a row gives the diameter.
+    Memory: two V x ceil(V/64) uint64 matrices besides the adjacency (the
+    balls, and the next balls of the rows still growing), the closed
+    neighbour lists (2E + V int32 indices) and one gather buffer, the larger
+    of `CHUNK_BYTES` and the largest closed neighbourhood's rows.  Vertex
+    indices are the internal ones of `InvolutionSet`, not export ids.
     Raises for rank-1 groups, whose "hat" component is empty and has no
     diameter.
     """
@@ -335,55 +341,57 @@ def components_and_diameter(g):
     if group.rank < 2:
         raise ValueError("rank-1 group: the component away from w0 is empty, "
                          "its diameter is undefined")
-    comp_masks = _component_masks(g.adj)
-    components = [
-        frozenset(g.vertices.elements[i] for i in _iter_bits(m)) for m in comp_masks
-    ]
-    w0 = group.longest_element()
-    w0_idx = g.vertices.index_of(w0)
-    hat_masks = [m for m in comp_masks if not (m >> w0_idx) & 1]
-    if len(hat_masks) != 1:
-        raise ValueError(f"expected one component away from w0, found {len(hat_masks)}")
-    return components, _component_diameter(g.adj, hat_masks[0])
+    rows, comps = g.rows, []
+    unseen = np.ones(len(rows), dtype=bool)
+    while unseen.any():  # one frontier search from the lowest unseen vertex
+        reach = frontier = _with_bit(np.zeros_like(rows[0]), int(np.argmax(unseen)))
+        while frontier.any():
+            reach, frontier = _layer(rows, reach, frontier)
+        comps.append(reach)
+        unseen[_set_bits(reach)] = False
+    elements = g.vertices.elements
+    components = [frozenset(elements[i] for i in _set_bits(c).tolist()) for c in comps]
+    w0_idx = g.vertices.index_of(group.longest_element())
+    hat = [c for c in comps if not c[w0_idx >> 6] >> (w0_idx & 63) & 1]
+    if len(hat) != 1:
+        raise ValueError(f"expected one component away from w0, found {len(hat)}")
+    return components, _component_diameter(g, hat[0])
 
 
-def _component_masks(adj):
-    """The components as vertex bitsets, by lowest vertex index."""
-    masks = []
-    seen = 0
-    for v in range(len(adj)):
-        if (seen >> v) & 1:
-            continue
-        reach = frontier = 1 << v
-        while frontier:
-            frontier = _row_union(adj, frontier) & ~reach
-            reach |= frontier
-        masks.append(reach)
-        seen |= reach
-    return masks
+def _with_bit(row, v):
+    """A copy of the packed row with bit v set."""
+    row = row.copy()
+    row[v >> 6] |= 1 << (v & 63)
+    return row
 
 
-def _row_union(adj, bits):
-    """The union of the adjacency rows of the vertices in `bits`."""
-    grown = 0
-    for u in _iter_bits(bits):
-        grown |= adj[u]
-    return grown
+def _layer(rows, reach, frontier):
+    """One search layer: the packed ball `reach` grown by the rows of the
+    vertices in its `frontier`, and the new frontier.  The rows are gathered
+    `CHUNK_BYTES` at a time."""
+    grown = reach.copy()
+    idx = _set_bits(frontier)
+    step = max(1, CHUNK_BYTES // rows.strides[0])
+    for start in range(0, len(idx), step):
+        grown |= np.bitwise_or.reduce(rows[idx[start : start + step]], axis=0)
+    return grown, grown & ~reach
 
 
-def _component_diameter(adj, mask):
-    """The diameter of the component `mask` (see `components_and_diameter`)."""
-    V = len(adj)
-    size = mask.bit_count()
-    target = _packed_rows([mask], V)[0]
+def _component_diameter(g, target):
+    """The diameter of the component whose packed row is `target` (see
+    `components_and_diameter`)."""
+    V = len(g)
+    size = int(np.bitwise_count(target).sum())
     in_comp = np.unpackbits(target.view(np.uint8), count=V, bitorder="little").view(bool)
     # the balls of radius 1: every row gains its own vertex
-    reach = _packed_rows(adj, V)
+    reach = g.rows.copy()
     v = np.arange(V)
     reach.view(np.uint8)[v, v // 8] |= (1 << v % 8).astype(np.uint8)
     W = reach.shape[1]
-    indices = np.concatenate([np.flatnonzero(bits) % V for _, bits in _bit_blocks(reach, V)])
-    lens = np.array([row.bit_count() + 1 for row in adj])
+    indices = np.concatenate(
+        [(np.flatnonzero(bits) % V).astype(np.int32) for _, bits in _bit_blocks(reach)]
+    )
+    lens = np.array(g.degrees()) + 1
     growing = in_comp & (lens < size)  # radius 1 is not yet the component
     indices, lens, active = indices[np.repeat(growing, lens)], lens[growing], np.flatnonzero(growing)
     step = max(1, CHUNK_BYTES // (8 * W))  # rows gathered at a time
@@ -410,25 +418,28 @@ def _component_diameter(adj, mask):
 def graph_distance(g, x, y):
     """Shortest-path distance between two vertices; None when disconnected.
 
-    A bidirectional search: balls grow around both ends, one layer at a
-    time on the side whose frontier is smaller, until the layer just added
-    on one side meets the other side's ball.
+    A bidirectional search: the distance is the least r + s for which the
+    ball of radius r around x meets the ball of radius s around y.  Both
+    balls start at radius 1, straight from the two adjacency rows, and then
+    grow one layer at a time on the side whose frontier is smaller.
     """
     i, j = g.vertices.index_of(x), g.vertices.index_of(y)
     if i == j:
         return 0
-    reach = [1 << i, 1 << j]
-    frontier = list(reach)
-    d = 0
-    while frontier[0] and frontier[1]:
+    if g.has_edge(i, j):
+        return 1
+    rows = g.rows
+    frontier = [rows[i], rows[j]]
+    reach = [_with_bit(rows[i], i), _with_bit(rows[j], j)]
+    d = 2
+    while not (reach[0] & reach[1]).any():
+        if not (frontier[0].any() and frontier[1].any()):
+            return None  # one ball is a whole component
+        sizes = [np.bitwise_count(f).sum() for f in frontier]
+        s = 0 if sizes[0] <= sizes[1] else 1
+        reach[s], frontier[s] = _layer(rows, reach[s], frontier[s])
         d += 1
-        s = 0 if frontier[0].bit_count() <= frontier[1].bit_count() else 1
-        grown = _row_union(g.adj, frontier[s])
-        if grown & reach[1 - s]:
-            return d
-        frontier[s] = grown & ~reach[s]
-        reach[s] |= frontier[s]
-    return None
+    return d
 
 
 def excess(group, w):
@@ -460,7 +471,7 @@ def excess(group, w):
 
 def pendant_elements(g):
     """Vertices of valency exactly 1."""
-    return {e for e, row in zip(g.vertices, g.adj) if row.bit_count() == 1}
+    return {e for e, d in zip(g.vertices, g.degrees()) if d == 1}
 
 
 _E6_PENDANT_WORDS = (

@@ -152,10 +152,10 @@ def test_excess_histogram_heavy_gate(capsys):
 
 
 def test_adjacency_budget_refusal(capsys, monkeypatch):
-    monkeypatch.setattr(graph, "ADJACENCY_BUDGET", 8)  # 8 vertices; A3 has 9
+    monkeypatch.setattr(graph, "ADJACENCY_BUDGET", 8)  # 1 vertex (1 x 1 word); A3 has 9
     code, out, err = run(capsys, "valency", "-g", "A3")
     assert code == 2 and out == ""
-    assert "A3 has more than 8 involutions" in err
+    assert "A3 has more than 1 involutions" in err
 
 
 def test_cosets_heavy_gate(capsys):

@@ -158,17 +158,23 @@ def test_exports_ignore_the_vertex_order(label):
 def test_budget_refuses_during_the_walk(monkeypatch):
     cached = CoxeterGroup.from_spec("A5")
     assert len(enumerate_involutions(cached)) == 75  # walked under the real budget
-    monkeypatch.setattr(gr, "ADJACENCY_BUDGET", 50)  # 20 vertices; A5 has 75
+    monkeypatch.setattr(gr, "ADJACENCY_BUDGET", 50)  # 6 vertices (6 x 1 word); A5 has 75
     grp = CoxeterGroup.from_spec("A5")
-    with pytest.raises(SpecError, match="A5 has more than 20 involutions"):
+    with pytest.raises(SpecError, match="A5 has more than 6 involutions"):
         build_graph(grp)
     assert grp._involution_perms is None  # the walk was cut short
-    with pytest.raises(SpecError, match="more than 20"):
+    with pytest.raises(SpecError, match="more than 6"):
         build_graph(cached)  # the cached walk is held to the budget too
 
 
+def _matrix_bytes(V):
+    return V * -(-V // 64) * 8
+
+
 def test_e8_is_refused_by_the_adjacency_budget():
-    with pytest.raises(SpecError, match="E8 has more than 92681 involutions"):
+    V = gr.vertex_limit()
+    assert _matrix_bytes(V) <= gr.ADJACENCY_BUDGET < _matrix_bytes(V + 1)
+    with pytest.raises(SpecError, match="E8 has more than 92672 involutions"):
         build_graph(CoxeterGroup.from_spec("E8"))
 
 
@@ -208,7 +214,20 @@ def test_two_word_rows_match_int_bitsets(monkeypatch, chunk, label):
     want = [
         sum(1 << j for j, b in enumerate(nbits) if a & b == 0) for a in nbits
     ]
-    assert gr._pairwise_disjoint_rows(grp.n_set_words([e.perm for e in invs])) == want
+    rows = gr._pairwise_disjoint_rows(grp.n_set_words([e.perm for e in invs]))
+    assert list(E0Graph(grp, invs, rows).adj) == want
+
+
+@pytest.mark.parametrize("label", ["A1", "A5", "I2(65)", "B2xA1xA2"])
+def test_adjacency_matrix_layout(label):
+    rows = graph(label).rows
+    V = len(rows)
+    assert rows.flags.c_contiguous and rows.dtype == np.dtype("<u8")
+    assert rows.shape == (V, -(-V // 64))
+    bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little").view(bool)
+    assert not bits[:, V:].any()  # degrees count every set bit of a row
+    square = bits[:, :V]
+    assert (square == square.T).all() and not square.diagonal().any()
 
 
 def _product_counts(a, b):
@@ -341,9 +360,10 @@ def _components_and_diameter_oracle(g):
     """Components by lowest vertex index; hat diameter as the largest BFS
     distance between two vertices of the component without w0."""
     w0 = g.vertices.index_of(g.group.longest_element())
+    adj = list(g.adj)
     comps, seen, hat_diameter = [], 0, 0
     for i in range(len(g)):
-        reach, layers = _bfs(g.adj, i)
+        reach, layers = _bfs(adj, i)
         if not (seen >> i) & 1:
             comps.append(frozenset(g.vertices.elements[j] for j in _iter_bits(reach)))
             seen |= reach
@@ -382,7 +402,7 @@ def test_rank_one_diameter_undefined():
 
 def test_split_hat_component_is_refused():
     g = graph("A3")
-    bare = E0Graph(g.group, g.vertices, [0] * len(g))
+    bare = E0Graph(g.group, g.vertices, np.zeros_like(g.rows))
     with pytest.raises(ValueError, match="expected one component away from w0, found 8"):
         components_and_diameter(bare)
 
@@ -396,13 +416,12 @@ def test_graph_distance():
     assert graph_distance(g, w0, grp.generator(1)) is None
 
 
-@pytest.mark.parametrize("label", ["A4", "B3", "B2xA1xA2"])
-def test_graph_distance_matches_bfs(label):
-    g = graph(label)
+def _distances_match_bfs(g):
     elems = g.vertices.elements
+    adj = list(g.adj)
     nones = 0
     for i in range(len(g)):
-        _, layers = _bfs(g.adj, i)
+        _, layers = _bfs(adj, i)
         want = [None] * len(g)
         for d, layer in enumerate(layers):
             for j in _iter_bits(layer):
@@ -410,6 +429,45 @@ def test_graph_distance_matches_bfs(label):
         nones += want.count(None)
         assert [graph_distance(g, elems[i], y) for y in elems] == want
     assert nones == 2 * (len(g) - 1)  # only the pairs with w0, both ways
+
+
+@pytest.mark.parametrize("label", ["A4", "B3", "B2xA1xA2"])
+def test_graph_distance_matches_bfs(label):
+    _distances_match_bfs(graph(label))
+
+
+@pytest.mark.parametrize("label", ["A4", "B3", "B2xA1xA2"])
+def test_graph_distance_in_small_chunks(label, monkeypatch):
+    monkeypatch.setattr(gr, "CHUNK_BYTES", 8)  # every gather holds one row
+    _distances_match_bfs(graph(label))
+
+
+def _with_edges(g, edges):
+    """A graph on g's vertices with the given edges in place of g's own."""
+    V = len(g)
+    square = np.zeros((V, 64 * -(-V // 64)), dtype=bool)
+    for i, j in edges:
+        square[i, j] = square[j, i] = True
+    rows = np.packbits(square, axis=1, bitorder="little").view("<u8")
+    return E0Graph(g.group, g.vertices, rows)
+
+
+@pytest.mark.parametrize("chunk", [gr.CHUNK_BYTES, 8])
+def test_searches_on_a_long_path(chunk, monkeypatch):
+    # the real graphs have hat diameter at most 3; a path needs every layer
+    monkeypatch.setattr(gr, "CHUNK_BYTES", chunk)
+    g = graph("A5")  # 75 vertices: two words per row
+    w0 = g.vertices.index_of(g.group.longest_element())
+    order = [v for v in range(len(g)) if v != w0]
+    path = _with_edges(g, zip(order, order[1:]))
+    comps, hat_diameter = components_and_diameter(path)
+    assert sorted(map(len, comps)) == [1, 74] and hat_diameter == 73
+    elems = g.vertices.elements
+    for start in (0, 30):
+        x = elems[order[start]]
+        want = [abs(k - start) for k in range(len(order))]
+        assert [graph_distance(path, x, elems[v]) for v in order] == want
+        assert graph_distance(path, x, elems[w0]) is None
 
 
 def test_maximal_parabolic_witnesses_at_distance_three():
@@ -629,6 +687,15 @@ def test_json_export_is_one_document(label, indent, monkeypatch):
     text = build_graph(CoxeterGroup.from_spec(label)).to_json(indent=indent)
     assert json.dumps(json.loads(text), indent=indent) == text
     assert hashlib.sha256(text.encode()).hexdigest() == JSON_SHA256[label, indent]
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"indent": "\t"}, {"separators": (",", ":")}, {"sort_keys": True, "indent": 1}]
+)
+def test_json_export_takes_any_dumps_arguments(kwargs, monkeypatch):
+    monkeypatch.setattr(gr, "EXPORT_BLOCK", 4)
+    g = build_graph(CoxeterGroup.from_spec("B2xA1xA2"))
+    assert g.to_json(**kwargs) == json.dumps(json.loads(g.to_json()), **kwargs)
 
 
 @pytest.mark.parametrize("label", ["A4", "B3", "I2(65)"])
