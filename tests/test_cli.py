@@ -1,5 +1,6 @@
 """End-to-end command-line checks."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -79,6 +80,22 @@ def test_export_ball_json(capsys, tmp_path):
     assert code == 0
     data = json.loads(path.read_text())
     assert data["radius"] == 3 and data["group"] == "U3"
+
+
+def test_ball_exports_are_pinned(capsys, tmp_path):
+    # SHA-256 taken while ball edges came from a Python pair loop
+    path = tmp_path / "u3.json"
+    code, out, _ = run(capsys, "ball", "-g", "U3", "--radius", "5",
+                       "--graph", str(path))
+    assert code == 0
+    assert out == ("group U3: ball of radius 5 has 94 elements, 21 involutions\n"
+                   f"wrote {path}\n")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "6397e774bed86dd5cb2f088c5471dbc925a33873de26e73237b27ec3a2b09c0e")
+    code, out, _ = run(capsys, "export", "-g", "U3", "--radius", "4")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b6d7af35ecec944fe359a83b7816bf9f30b0f2e3c88b3eaa384b45c9b3aeb5fe")
 
 
 def test_diameter_command(capsys):

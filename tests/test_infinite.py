@@ -1,5 +1,7 @@
 """Ball exploration of infinite groups and the diameter evidence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -396,3 +398,31 @@ def test_each_maximal_parabolic_is_looked_up_once(monkeypatch):
     assert asked == [[2, 3, 4], [1, 3, 4], [1, 2, 4]]
     assert ev.claims[0].ok and ev.claims[0].witness["r"] == 2
     assert ev.claims[0].witness["s"] == 3
+
+
+# SHA-256 of each report's to_json(indent=2), taken while the ball pair scans
+# ran on Python-int N-sets: the reports must stay byte for byte the same
+EVIDENCE_SHA256 = {
+    "U2 r6": "c3bc89395cd627d88db851b2f916728d44f93eb92e9a0a96abff2f9506945c76",
+    "U3 r6": "134923533e7db3a225081d3ac4461283d7888914485a242761d2d6b10d4c2dc5",
+    "U4 r4": "2788c98ef54306b05c42f366ee1866283fab53bf40e4d73753b93fd2fb84e62e",
+    "337 r10": "14df6f6adbb228d211f2d188bd21ccd9fbd3acd675a0727b20627c90f5489d47",
+    "A2~ r10": "c309a49bcbb29abe7ff2d8f9332a80aa019e7120513008d789a4270ab8d43bbd",
+    "U2xU3 r3": "25049429e5bef22a397b142f0ac5d78ce5755ef1dceaaf12f90202232a36b63b",
+    "U2,U2 r4": "5ef101ff26e40ddacb7ea1cd309005136580125e42a374a25a1c51001cf29f1b",
+    "U3,U3 r3": "814e645edbb6b4f927c7f16aa62650309c9680d500e753ebe49e2cf7bd9a90c9",
+}
+
+
+@pytest.mark.parametrize("label", sorted(EVIDENCE_SHA256))
+def test_evidence_reports_are_pinned(label):
+    name, radius = label.split(" r")
+    groups = {"337": lambda: InfiniteCoxeterGroup(H337),
+              "A2~": lambda: InfiniteCoxeterGroup(AFFINE_A2)}
+    if "," in name:
+        report = product_diameter_check(name.split(","), int(radius))
+    else:
+        group = groups.get(name, lambda: InfiniteCoxeterGroup.from_spec(name))()
+        report = ball_graph_diameter_evidence(group, int(radius))
+    text = report.to_json(indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == EVIDENCE_SHA256[label]
