@@ -179,21 +179,14 @@ def cmd_delta(args):
 
 
 def _ball_graph_dict(ball):
-    invs = ball.involutions()
-    edges = [
-        [i, j]
-        for i, x in enumerate(invs)
-        for j, y in enumerate(invs)
-        if i < j and ball.is_adjacent(x, y)
-    ]
     return {
         "group": ball.group.label,
         "radius": ball.radius,
         "vertices": [
             {"id": i, "word": format_word(e.word), "length": e.length}
-            for i, e in enumerate(invs)
+            for i, e in enumerate(ball.involutions())
         ],
-        "edges": edges,
+        "edges": ball.graph.edges(),
     }
 
 

@@ -561,6 +561,11 @@ class Element:
     def length(self):
         return self.group._length(self.perm)
 
+    @property
+    def key(self):
+        """The hashable identity of the element, like `MatrixElement.key`."""
+        return self.perm
+
     def n_set(self):
         """Positive-root indices sent negative by this element."""
         bits = self.group._n_bits(self.perm)
@@ -596,6 +601,16 @@ class Element:
 
     def __repr__(self):
         return format_word(self.word)
+
+
+def pack_words(member):
+    """The rows of a (V, P) bool array packed in one word-major (k, V)
+    little-endian uint64 array, k = ceil(P / 64): bit p of column v across
+    the k words is member[v, p].  The one N-set format of every graph."""
+    V, P = member.shape
+    packed = np.zeros((V, 8 * -(-P // 64)), dtype=np.uint8)
+    packed[:, : -(-P // 8)] = np.packbits(member, axis=1, bitorder="little")
+    return np.ascontiguousarray(packed.view("<u8").T)
 
 
 def _iter_bits(bits):
@@ -679,14 +694,11 @@ class CoxeterGroup(GeometricGroup):
         return int(a[: self.pos_count].translate(self._sign_digits)[::-1], 2)
 
     def n_set_words(self, perms):
-        """The N-sets of `perms`, packed in one word-major (k, len(perms))
-        little-endian uint64 array, k = ceil(|Phi+| / 64): bit p of column v
-        across the k words is bit p of `_n_bits(perms[v])`."""
+        """The N-sets of `perms` as `pack_words` packs them, k = ceil(|Phi+| / 64):
+        bit p of column v across the k words is bit p of `_n_bits(perms[v])`."""
         P = self.pos_count
         a = np.frombuffer(b"".join(perms), dtype=np.uint8).reshape(len(perms), 2 * P)
-        packed = np.zeros((len(perms), 8 * -(-P // 64)), dtype=np.uint8)
-        packed[:, : -(-P // 8)] = np.packbits(a[:, :P] >= P, axis=1, bitorder="little")
-        return np.ascontiguousarray(packed.view("<u8").T)
+        return pack_words(a[:, :P] >= P)
 
     def _length(self, a):
         """|N(a)|: the positive roots a sends negative."""

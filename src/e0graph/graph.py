@@ -16,7 +16,9 @@ set iff i and j are joined, zero padding past column V), and every reader
 uses it as it is.  The walk stops, and the group is refused, once it finds
 more involutions than `vertex_limit` allows: a matrix within
 `ADJACENCY_BUDGET`.  So B8, E7xA1 and D9 build, and E8, A11 and A15 are
-refused.
+refused.  A ball of an infinite group (`infinite.Ball.graph`) is the same
+`E0Graph` on the ball's involutions, with its N-sets packed by the same
+`pack_words` and its matrix built by the same `_pairwise_disjoint_rows`.
 """
 
 from __future__ import annotations
@@ -60,17 +62,17 @@ def vertex_limit():
 
 
 class InvolutionSet:
-    """The non-identity involutions of a finite group, in a fixed order.
+    """Non-identity involutions in a fixed order, indexed by element key.
 
-    `enumerate_involutions` orders them by length, ties kept in walk order.
-    Indices are internal: the exports renumber the vertices (see
-    `E0Graph.to_json`).
+    `enumerate_involutions` orders a finite group's by length, ties kept in
+    walk order; a ball keeps its (length, word) order.  Finite indices are
+    internal: the exports renumber the vertices (see `E0Graph.to_json`).
     """
 
     def __init__(self, group, elements):
         self.group = group
         self.elements = elements
-        self.index = {e.perm: i for i, e in enumerate(elements)}
+        self.index = {e.key: i for i, e in enumerate(elements)}
 
     def __len__(self):
         return len(self.elements)
@@ -80,9 +82,9 @@ class InvolutionSet:
 
     def index_of(self, x):
         try:
-            return self.index[x.perm]
+            return self.index[x.key]
         except KeyError:
-            raise ValueError(f"{x!r} is not a non-identity involution of this group")
+            raise ValueError(f"{x!r} is not a vertex of this involution set")
 
 
 def enumerate_involutions(group):
@@ -137,6 +139,13 @@ class E0Graph:
     def has_edge(self, i, j):
         """Whether vertices i and j (indices) are adjacent."""
         return bool(self.rows[i, j >> 6] >> (j & 63) & 1)
+
+    def dense(self):
+        """The adjacency unpacked to a V x V bool array (V^2 bytes): for
+        ball-sized graphs, whose pair scans are bool matrix products."""
+        bits = np.unpackbits(self.rows.view(np.uint8), axis=1, count=len(self),
+                             bitorder="little")
+        return bits.view(bool)
 
     def degrees(self):
         step = max(1, CHUNK_BYTES // self.rows.strides[0])  # bounds the popcount temporary

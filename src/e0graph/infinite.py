@@ -16,7 +16,9 @@ test on the rounding grid, where an absolute bound on M^2 - 1 fails once
 the entries grow large.  A ball builds its root system only when it is
 first asked for an N-set.  N-sets are read off the reduced word, so
 adjacency between ball members is exact, not an artifact of the truncation
-radius.
+radius.  The adjacency of a ball's involutions is the packed matrix of a
+finite group's graph, `Ball.graph`, and every pair scan of the evidence
+reports reads it a whole block of pairs at a time.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ from .coxeter import (
     float_keys,
     format_word,
     generate_root_system,
+    pack_words,
     parse_group_spec,
 )
+from .graph import E0Graph, InvolutionSet, _pairwise_disjoint_rows, _set_bits
 
 MATRIX_KEY_DECIMALS = 6
 MATRIX_COLLISION_TOL = 1e-5
@@ -235,24 +239,31 @@ class InfiniteCoxeterGroup(GeometricGroup):
 class Ball:
     """All elements of length <= radius, with exact N-set adjacency."""
 
-    def __init__(self, group, radius, elements, involutions, root_depth=None):
+    def __init__(self, group, radius, elements, involutions):
         self.group = group
         self.radius = radius
         self.elements = elements  # in (length, word) order
         self.by_key = {e.key: e for e in elements}
         self._involutions = involutions
-        self._root_depth = max(radius, root_depth or 0, 1)
-        self._nbits = {}
-
-    @cached_property
-    def _involution_bits(self):
-        """(involution, n_bits) for every involution of the ball."""
-        return [(z, self.n_bits(z)) for z in self._involutions]
 
     @cached_property
     def root_system(self):
-        """The roots to depth max(radius, root_depth), built on first use."""
-        return self.group.root_system(self._root_depth)
+        """The roots to depth max(radius, 1), built on first use."""
+        return self.group.root_system(max(self.radius, 1))
+
+    @cached_property
+    def graph(self):
+        """The excess-zero graph on `involutions()`, in their order, built on
+        first use.  The columns of its N-set words are the roots that occur
+        in some involution's N-set, so the words stay narrow."""
+        invs = self._involutions
+        n_sets = [self.n_set(z) for z in invs]
+        column = {p: c for c, p in enumerate(sorted(set().union(*n_sets)))}
+        member = np.zeros((len(invs), len(column)), dtype=bool)
+        for v, n_set in enumerate(n_sets):
+            member[v, [column[p] for p in n_set]] = True
+        rows = _pairwise_disjoint_rows(pack_words(member))
+        return E0Graph(self.group, InvolutionSet(self.group, invs), rows)
 
     def __len__(self):
         return len(self.elements)
@@ -264,39 +275,33 @@ class Ball:
         """Members w != 1 with w = w^-1, in (length, word) order."""
         return self._involutions
 
-    def n_bits(self, elem):
-        bits = self._nbits.get(elem.key)
-        if bits is None:
-            bits = 0
-            for idx in self.root_system.indices_of(elem.n_set_vectors()):
-                if idx is None:
-                    raise ToleranceError(
-                        f"root of {elem!r} escaped the generated system "
-                        f"(depth {self.radius})"
-                    )
-                bits |= 1 << idx
-            self._nbits[elem.key] = bits
-        return bits
+    def n_set(self, elem):
+        """N(elem) as indices into `root_system`; raises ToleranceError when
+        one of its roots lies deeper than the system was generated."""
+        indices = self.root_system.indices_of(elem.n_set_vectors())
+        if None in indices:
+            raise ToleranceError(
+                f"root of {elem!r} escaped the generated system "
+                f"(depth {self.radius})"
+            )
+        return frozenset(indices)
 
     def is_adjacent(self, x, y):
         """Exact edge test for involutions in the ball."""
-        return self.n_bits(x) & self.n_bits(y) == 0
+        g = self.graph
+        return g.has_edge(g.vertices.index_of(x), g.vertices.index_of(y))
 
     def common_neighbors(self, x, y):
-        """The involutions of the ball adjacent to both x and y.
+        """The involutions of the ball adjacent to both x and y, in order.
 
-        x and y themselves never pass: their non-empty N-sets meet the mask.
+        x and y never pass: no vertex is its own neighbour.
         """
-        mask = self.n_bits(x) | self.n_bits(y)
-        return [z for z, bits in self._involution_bits if bits & mask == 0]
-
-    def degree_within(self, x):
-        return sum(
-            1 for z in self.involutions() if z.key != x.key and self.is_adjacent(x, z)
-        )
+        g = self.graph
+        both = g.rows[g.vertices.index_of(x)] & g.rows[g.vertices.index_of(y)]
+        return [g.vertices.elements[j] for j in _set_bits(both).tolist()]
 
 
-def enumerate_ball(group, radius, root_depth=None):
+def enumerate_ball(group, radius):
     """All elements of length <= radius, one BFS layer at a time.
 
     A layer steps every frontier matrix, and its inverse, by each generator
@@ -352,7 +357,7 @@ def enumerate_ball(group, radius, root_depth=None):
             elements.append(MatrixElement(group, m, w, k))
             if inv:
                 involutions.append(elements[-1])
-    return Ball(group, radius, elements, involutions, root_depth=root_depth)
+    return Ball(group, radius, elements, involutions)
 
 
 def universal_neighborhood(x, ball):
@@ -428,53 +433,48 @@ def ball_graph_diameter_evidence(group, radius, extra=2):
     return _max_parabolic_evidence(group, radius, extra)
 
 
+def _pair_scan(ball, radius):
+    """(a, far, near) over the n involutions of length <= radius, which come
+    first in `ball.graph`: a is their n x V block of `ball.graph.dense()`,
+    far[i, j] marks the non-adjacent pairs i < j, and near[i, j] whether i
+    and j have a common neighbour anywhere in the ball."""
+    n = sum(1 for z in ball.involutions() if z.length <= radius)
+    a = ball.graph.dense()[:n]
+    return a, np.triu(~a[:, :n], 1), a @ a.T
+
+
+def _first_pair(mask):
+    """The first (i, j) with mask[i, j] set, in row-major order, so the first
+    pair (i, j > i) of a scan; None when no entry is set."""
+    return divmod(int(mask.argmax()), mask.shape[1]) if mask.any() else None
+
+
+def _words(elems, indices, names=None):
+    """The words of the indexed elements, as a list or a dict under `names`."""
+    words = [format_word(elems[i].word) for i in indices]
+    return words if names is None else dict(zip(names, words))
+
+
 def _universal_evidence(group, radius, extra):
     big = enumerate_ball(group, radius + extra)
-    small_invs = [e for e in big.involutions() if e.length <= radius]
-    claims = []
-
-    witness = None
-    for i, x in enumerate(small_invs):
-        for y in small_invs[i + 1 :]:
-            if not big.is_adjacent(x, y):
-                witness = (x, y)
-                break
-        if witness:
-            break
-    claims.append(
+    invs = big.involutions()
+    _, far, near = _pair_scan(big, radius)
+    witness = _first_pair(far)
+    failure = _first_pair(far & ~near)
+    claims = [
         Claim(
             "some involution pair is non-adjacent (distance >= 2)",
             witness is not None,
-            {} if witness is None else {
-                "x": format_word(witness[0].word),
-                "y": format_word(witness[1].word),
-            },
-        )
-    )
-
-    failures = []
-    for i, x in enumerate(small_invs):
-        for y in small_invs[i + 1 :]:
-            if big.is_adjacent(x, y):
-                continue
-            if not big.common_neighbors(x, y):
-                failures.append((x, y))
-    claims.append(
+            {} if witness is None else _words(invs, witness, "xy"),
+        ),
         Claim(
             f"every involution pair in the radius-{radius} ball is at "
             f"distance <= 2 (common neighbours searched at radius "
             f"{radius + extra})",
-            not failures,
-            {}
-            if not failures
-            else {
-                "pair": [
-                    format_word(failures[0][0].word),
-                    format_word(failures[0][1].word),
-                ]
-            },
-        )
-    )
+            failure is None,
+            {} if failure is None else {"pair": _words(invs, failure)},
+        ),
+    ]
     return EvidenceReport(
         "universal-diameter-2", group.label, radius, extra, 2, claims
     )
@@ -508,32 +508,32 @@ def _max_parabolic_evidence(group, radius, extra):
         )
     )
 
-    ball = enumerate_ball(group, radius, root_depth=max(x.length, y.length))
-    ball.n_bits(x), ball.n_bits(y)  # force the roots to resolve
-
-    simple_bits_x = _simple_descents_from_nset(ball, x)
-    simple_bits_y = _simple_descents_from_nset(ball, y)
+    # the graph reaches x and y; the scan covers the radius-`radius` ball
+    ball = enumerate_ball(group, max(radius, x.length, y.length))
+    g = ball.graph
+    ix, iy = g.vertices.index_of(x), g.vertices.index_of(y)
+    # the simple root of generator i has index i - 1
+    descents_x, descents_y = ({i for i in R if i - 1 in ball.n_set(w)} for w in (x, y))
     claims.append(
         Claim(
             "parabolic longest elements have every generator but one as a "
             "descent, so all their neighbours' reduced words start with the "
             "missing generator",
-            simple_bits_x == R - {r} and simple_bits_y == R - {s},
-            {"descents_x": sorted(simple_bits_x), "descents_y": sorted(simple_bits_y)},
+            descents_x == R - {r} and descents_y == R - {s},
+            {"descents_x": sorted(descents_x), "descents_y": sorted(descents_y)},
         )
     )
 
+    n = sum(1 for z in ball.involutions() if z.length <= radius)
+    a = g.dense()
     bad = []
-    for z in ball.involutions():
-        if z.key in (x.key, y.key):
+    for k in np.flatnonzero(a[ix, :n] | a[iy, :n]).tolist():
+        if k in (ix, iy):
             continue
-        if ball.is_adjacent(x, z):
-            left, right = group.descent_sets(z)
-            if left != {r}:
-                bad.append((z, sorted(left)))
-        if ball.is_adjacent(y, z):
-            left, right = group.descent_sets(z)
-            if left != {s}:
+        z = g.vertices.elements[k]
+        left, _ = group.descent_sets(z)
+        for i, t in ((ix, r), (iy, s)):
+            if a[i, k] and left != {t}:
                 bad.append((z, sorted(left)))
     claims.append(
         Claim(
@@ -548,22 +548,13 @@ def _max_parabolic_evidence(group, radius, extra):
         Claim(
             "the witnesses themselves are non-adjacent (distance exactly 3, "
             "given connectivity and the diameter <= 3 bound)",
-            not ball.is_adjacent(x, y),
+            not a[ix, iy],
             {},
         )
     )
     return EvidenceReport(
         "max-parabolic-diameter-3", group.label, radius, extra, 3, claims
     )
-
-
-def _simple_descents_from_nset(ball, w):
-    bits = ball.n_bits(w)
-    out = set()
-    for i in ball.group.generators:
-        if (bits >> (i - 1)) & 1:  # simple root of generator i has index i-1
-            out.add(i)
-    return out
 
 
 def product_diameter_check(specs, radius, extra=2):
@@ -599,107 +590,55 @@ def product_diameter_check(specs, radius, extra=2):
         return tuple(l - lo for l in word if lo < l <= hi)
 
     big = enumerate_ball(group, radius + extra)
-    small_invs = [e for e in big.involutions() if e.length <= radius]
-    factor_balls = [enumerate_ball(f, radius + extra) for f in factors]
-    claims = []
+    invs = big.involutions()
+    factor_graphs = [enumerate_ball(f, radius + extra).graph for f in factors]
+    # coords[v, k]: the vertex of factor graph k that is the k-th coordinate
+    # of involution v, or -1 where that coordinate is the identity
+    coords = np.full((len(invs), len(factors)), -1)
+    for k, (f, fg) in enumerate(zip(factors, factor_graphs)):
+        for v, z in enumerate(invs):
+            if word := project(z.word, k):
+                coords[v, k] = fg.vertices.index_of(f.element_from_word(word))
 
-    mismatch = []
-    for i, x in enumerate(small_invs):
-        for y in small_invs[i + 1 :]:
-            direct = big.is_adjacent(x, y)
-            coordwise = True
-            for k, fb in enumerate(factor_balls):
-                xw, yw = project(x.word, k), project(y.word, k)
-                if not xw or not yw:
-                    continue  # an identity coordinate never blocks adjacency
-                xk = fb.by_key[factors[k].element_from_word(xw).key]
-                yk = fb.by_key[factors[k].element_from_word(yw).key]
-                if fb.n_bits(xk) & fb.n_bits(yk):
-                    coordwise = False
-                    break
-            if direct != coordwise:
-                mismatch.append((x, y))
-    claims.append(
+    a, far, near = _pair_scan(big, radius)
+    n = len(a)
+    coordwise = np.ones((n, n), dtype=bool)  # an identity coordinate never blocks
+    for k, fg in enumerate(factor_graphs):
+        on = np.flatnonzero(coords[:n, k] >= 0)
+        coordwise[np.ix_(on, on)] &= fg.dense()[np.ix_(coords[on, k], coords[on, k])]
+    mismatch = _first_pair(np.triu(a[:, :n] != coordwise, 1))
+    failure = _first_pair(far & ~near)
+    one_coord = (coords >= 0).sum(axis=1) == 1
+    padded = _first_pair(far & ((a & one_coord) @ a.T))
+    if padded is not None:  # and its first single-coordinate middle vertex
+        i, j = padded
+        padded += (int(np.argmax(a[i] & a[j] & one_coord)),)
+    witness = _first_pair(far)
+    claims = [
         Claim(
             "adjacency in the product agrees with the coordinatewise "
             "criterion on every ball pair",
-            not mismatch,
-            {}
-            if not mismatch
-            else {
-                "pair": [
-                    format_word(mismatch[0][0].word),
-                    format_word(mismatch[0][1].word),
-                ]
-            },
-        )
-    )
-
-    failures = []
-    padded_used = None
-    for i, x in enumerate(small_invs):
-        for y in small_invs[i + 1 :]:
-            if big.is_adjacent(x, y):
-                continue
-            mids = big.common_neighbors(x, y)
-            if not mids:
-                failures.append((x, y))
-                continue
-            if padded_used is None:
-                one_coord = [
-                    z
-                    for z in mids
-                    if sum(1 for k in range(len(factors)) if project(z.word, k)) == 1
-                ]
-                if one_coord:
-                    padded_used = (x, y, one_coord[0])
-    claims.append(
+            mismatch is None,
+            {} if mismatch is None else {"pair": _words(invs, mismatch)},
+        ),
         Claim(
             f"every involution pair in the radius-{radius} ball is at "
             "distance <= 2",
-            not failures,
-            {}
-            if not failures
-            else {
-                "pair": [
-                    format_word(failures[0][0].word),
-                    format_word(failures[0][1].word),
-                ]
-            },
-        )
-    )
-    claims.append(
+            failure is None,
+            {} if failure is None else {"pair": _words(invs, failure)},
+        ),
         Claim(
             "some middle vertex is supported in a single coordinate "
             "(identity elsewhere)",
-            padded_used is not None,
-            {}
-            if padded_used is None
-            else {
-                "x": format_word(padded_used[0].word),
-                "y": format_word(padded_used[1].word),
-                "middle": format_word(padded_used[2].word),
-            },
-        )
-    )
-    witness = next(
-        (
-            (x, y)
-            for i, x in enumerate(small_invs)
-            for y in small_invs[i + 1 :]
-            if not big.is_adjacent(x, y)
+            padded is not None,
+            {} if padded is None else _words(invs, padded, ("x", "y", "middle")),
         ),
-        None,
-    )
-    claims.append(
         Claim(
             "some involution pair is non-adjacent (distance >= 2)",
             witness is not None,
-            {}
-            if witness is None
-            else {"x": format_word(witness[0].word), "y": format_word(witness[1].word)},
-        )
-    )
+            {} if witness is None else _words(invs, witness, "xy"),
+        ),
+    ]
     return EvidenceReport(
         "product-diameter-2", group.label, radius, extra, 2, claims
     )

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from e0graph import infinite
+from e0graph import graph, infinite
 from e0graph.coxeter import (
     CoxeterMatrix,
     SpecError,
@@ -157,7 +157,7 @@ def test_ball_builds_roots_on_demand():
     ball = enumerate_ball(group, 6)
     assert not group._roots_by_depth
     x = ball.involutions()[0]
-    assert ball.n_bits(x) == 1 << (x.word[0] - 1)
+    assert ball.n_set(x) == {x.word[0] - 1}
     assert list(group._roots_by_depth) == [6]
 
 
@@ -277,11 +277,10 @@ def test_ball_involutions_touch_generators():
 
 def test_ball_degrees_monotone_in_radius():
     grp = u(3)
-    small = enumerate_ball(grp, 4)
-    big = enumerate_ball(grp, 5)
-    for x in small.involutions():
-        x_big = big.by_key[x.key]
-        assert big.degree_within(x_big) >= small.degree_within(x)
+    small = enumerate_ball(grp, 4).graph
+    big = enumerate_ball(grp, 5).graph
+    for i, x in enumerate(small.vertices):
+        assert big.degree(big.vertices.index_of(x)) >= small.degree(i)
 
 
 def test_nset_depth_escape_detected():
@@ -289,7 +288,7 @@ def test_nset_depth_escape_detected():
     ball = enumerate_ball(grp, 2)
     deep = grp.element_from_word((1, 2, 1, 2, 1, 2, 1))
     with pytest.raises(ToleranceError):
-        ball.n_bits(deep)
+        ball.n_set(deep)
 
 
 def test_stored_words_are_reduced():
@@ -340,6 +339,27 @@ def test_evidence_json_shape():
     data = ev.to_json_dict()
     assert data["group"] == "U2" and data["diameter_claim"] == 2
     assert all(set(c) == {"description", "ok", "witness"} for c in data["claims"])
+
+
+@pytest.mark.parametrize("group,radius", [
+    (u(3), 5),
+    (InfiniteCoxeterGroup.from_spec("U2xU3"), 4),
+    (InfiniteCoxeterGroup(H337), 7),
+    (InfiniteCoxeterGroup(AFFINE_A2), 8),
+], ids=["U3", "U2xU3", "337", "A2~"])
+@pytest.mark.parametrize("chunk", [None, 8])
+def test_ball_graph_matches_length_definition(monkeypatch, group, radius, chunk):
+    # the definition, l(xy) = l(x) + l(y), through reduce_word on matrices:
+    # no N-set and no root system is involved
+    if chunk:
+        monkeypatch.setattr(graph, "CHUNK_BYTES", chunk)
+    ball = enumerate_ball(group, radius)
+    g = ball.graph
+    invs = ball.involutions()
+    assert list(g.vertices) == invs and len(invs) > 10
+    for i, x in enumerate(invs):
+        for j, y in enumerate(invs):
+            assert g.has_edge(i, j) == ((x * y).length == x.length + y.length)
 
 
 def test_common_neighbors_match_pairwise_adjacency():
@@ -407,6 +427,8 @@ EVIDENCE_SHA256 = {
     "U3 r6": "134923533e7db3a225081d3ac4461283d7888914485a242761d2d6b10d4c2dc5",
     "U4 r4": "2788c98ef54306b05c42f366ee1866283fab53bf40e4d73753b93fd2fb84e62e",
     "337 r10": "14df6f6adbb228d211f2d188bd21ccd9fbd3acd675a0727b20627c90f5489d47",
+    # y = [1,3,1,3,1,3,1] is longer than the radius
+    "337 r4": "e338640488f8a007c2bf9138cd7fdd845f27a9166f5e857ba4335b1a2ca0753c",
     "A2~ r10": "c309a49bcbb29abe7ff2d8f9332a80aa019e7120513008d789a4270ab8d43bbd",
     "U2xU3 r3": "25049429e5bef22a397b142f0ac5d78ce5755ef1dceaaf12f90202232a36b63b",
     "U2,U2 r4": "5ef101ff26e40ddacb7ea1cd309005136580125e42a374a25a1c51001cf29f1b",
