@@ -449,6 +449,17 @@ def _first_pair(mask):
     return divmod(int(mask.argmax()), mask.shape[1]) if mask.any() else None
 
 
+def _single_coordinate_middle(a, far, one_coord):
+    """(i, j, m): the first pair (i, j) marked in `far` with a common
+    neighbour m in `one_coord`, and the first such m; None when no pair has
+    one.  a and far are as in `_pair_scan`."""
+    padded = _first_pair(far & ((a & one_coord) @ a.T))
+    if padded is None:
+        return None
+    i, j = padded
+    return i, j, int(np.argmax(a[i] & a[j] & one_coord))
+
+
 def _words(elems, indices, names=None):
     """The words of the indexed elements, as a list or a dict under `names`."""
     words = [format_word(elems[i].word) for i in indices]
@@ -608,11 +619,7 @@ def product_diameter_check(specs, radius, extra=2):
         coordwise[np.ix_(on, on)] &= fg.dense()[np.ix_(coords[on, k], coords[on, k])]
     mismatch = _first_pair(np.triu(a[:, :n] != coordwise, 1))
     failure = _first_pair(far & ~near)
-    one_coord = (coords >= 0).sum(axis=1) == 1
-    padded = _first_pair(far & ((a & one_coord) @ a.T))
-    if padded is not None:  # and its first single-coordinate middle vertex
-        i, j = padded
-        padded += (int(np.argmax(a[i] & a[j] & one_coord)),)
+    padded = _single_coordinate_middle(a, far, (coords >= 0).sum(axis=1) == 1)
     witness = _first_pair(far)
     claims = [
         Claim(

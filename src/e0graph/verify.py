@@ -399,7 +399,7 @@ CHECKS = {
     "table2": (("H3", "F4", "H4", "E6"),
                _distribution("valency distribution of {}",
                              tables.EXCEPTIONAL_ROWS.__getitem__)),
-    "thm-diam": (SUITE, _thm_diam),
+    "thm-diam": (SUITE + ("E7",), _thm_diam),
     "cor-highval": (SUITE, _cor_highval),
     "thm-samecard-pairing": (SUITE, _samecard_pairing),
     "thm-valency": ((None,), _thm_valency),

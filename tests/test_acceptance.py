@@ -16,7 +16,7 @@ from e0graph.symn import wlog_check
 REPORT_SHA256 = {
     "table1": "b941acc95872de6a2dbf0d885966dabad290c10b53ee306d6101ac8a18f435d2",
     "table2": "4919611ca082bed55d37c1891ee2123e5ad254326f05c457f6b29094cf7f6276",
-    "thm-diam": "28e540d189c19eed4502a4065bc07dcf83c9e14ca57081bb3a6177333584c63a",
+    "thm-diam": "db1ce8473aceefd6d0177b82eaf5e75b44c64aa071a181c14fbc318455444bc6",
     "cor-highval": "ad7adf6ef6d33fcfd2c188c95e43b86fc941d1ec812f75166faac1e6a46d2d4b",
     "thm-samecard-pairing":
         "733ee3e9a964b0aed9e21c06c8bc59449394d805c503e877e8a22c25a45d19f4",

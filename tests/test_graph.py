@@ -470,6 +470,50 @@ def test_searches_on_a_long_path(chunk, monkeypatch):
         assert graph_distance(path, x, elems[w0]) is None
 
 
+def _random_edges(seed, hat):
+    """Seeded random edges that connect the vertices `hat`.  Two seeds in
+    three give a spanning tree, vertex k of a random order hanging off one
+    of the `width` vertices before it, plus a few random edges; the third
+    gives a broom, a dense hub with one long tail, where the hub finishes
+    early and the tail's end has the largest eccentricity."""
+    rng = random.Random(seed)
+    order = rng.sample(hat, len(hat))
+    if seed % 3:
+        width = rng.choice([1, 2, 3, 5, 10, len(hat)])
+        edges = [(order[k], order[rng.randrange(max(0, k - width), k)])
+                 for k in range(1, len(order))]
+        return edges + [tuple(rng.sample(order, 2))
+                        for _ in range(rng.choice([0, 0, 1, 3, 10, 100]))]
+    hub = rng.choice([2, 3, 10, 30, 60, len(order)])
+    p = rng.choice([0.3, 0.6, 0.9])
+    edges = [(u, v) for u, v in combinations(order[:hub], 2) if rng.random() < p]
+    edges += zip(order[: hub - 1], order[1:hub])  # keeps the hub connected
+    tail = [order[rng.randrange(hub)]] + order[hub:]
+    return edges + list(zip(tail, tail[1:]))
+
+
+@lru_cache(maxsize=None)
+def _random_graph(seed):
+    """A random graph on A5's 75 vertices, w0 isolated, and its oracle
+    components and hat diameter."""
+    g = graph("A5")
+    w0 = g.vertices.index_of(g.group.longest_element())
+    rand = _with_edges(g, _random_edges(seed, [v for v in range(len(g)) if v != w0]))
+    return rand, _components_and_diameter_oracle(rand)
+
+
+@pytest.mark.parametrize("chunk", [gr.CHUNK_BYTES, 8])
+def test_diameter_matches_bfs_on_random_graphs(chunk, monkeypatch):
+    # hat diameters from 2 to 73, where the groups' are all 1 or 3
+    monkeypatch.setattr(gr, "CHUNK_BYTES", chunk)
+    diameters = set()
+    for seed in range(99):
+        rand, want = _random_graph(seed)
+        assert components_and_diameter(rand) == want, seed
+        diameters.add(want[1])
+    assert min(diameters) == 2 and max(diameters) == 73 and len(diameters) > 20
+
+
 def test_maximal_parabolic_witnesses_at_distance_three():
     for label in ["A3", "B3", "A2xA2"]:
         grp = group(label)

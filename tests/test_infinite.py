@@ -334,6 +334,19 @@ def test_product_diameter_checks():
         product_diameter_check(["A2", "U2"], 4)
 
 
+def test_single_coordinate_middle_passes_over_wider_neighbours():
+    # In the U_n products every first pair has a generator of another factor
+    # as its first common neighbour, so a hand-built graph shows the choice:
+    # 0 and 1 meet at 2, supported in two coordinates, and then at 3, in one.
+    a = np.zeros((4, 4), dtype=bool)
+    for i, j in [(0, 2), (1, 2), (0, 3), (1, 3)]:
+        a[i, j] = a[j, i] = True
+    far = np.triu(~a, 1)
+    one_coord = np.array([True, True, False, True])
+    assert infinite._single_coordinate_middle(a, far, one_coord) == (0, 1, 3)
+    assert infinite._single_coordinate_middle(a, far, np.zeros(4, dtype=bool)) is None
+
+
 def test_evidence_json_shape():
     ev = ball_graph_diameter_evidence(u(2), 4)
     data = ev.to_json_dict()
