@@ -473,14 +473,15 @@ def test_searches_on_a_long_path(chunk, monkeypatch):
 def _random_edges(seed, hat):
     """Seeded random edges that connect the vertices `hat`.  Two seeds in
     three give a spanning tree, vertex k of a random order hanging off one
-    of the `width` vertices before it, plus a few random edges; the third
-    gives a broom, a dense hub with one long tail, where the hub finishes
-    early and the tail's end has the largest eccentricity."""
+    of the `width` vertices before it (width 0: off the first, a star whose
+    centre finishes at radius 1), plus a few random edges; the third gives
+    a broom, a dense hub with one long tail, where the hub finishes early
+    and the tail's end has the largest eccentricity."""
     rng = random.Random(seed)
     order = rng.sample(hat, len(hat))
     if seed % 3:
-        width = rng.choice([1, 2, 3, 5, 10, len(hat)])
-        edges = [(order[k], order[rng.randrange(max(0, k - width), k)])
+        width = rng.choice([0, 1, 2, 3, 5, 10, len(hat)])
+        edges = [(order[k], order[rng.randrange(max(0, k - width), k) if width else 0])
                  for k in range(1, len(order))]
         return edges + [tuple(rng.sample(order, 2))
                         for _ in range(rng.choice([0, 0, 1, 3, 10, 100]))]
