@@ -9,7 +9,7 @@ cosets, verify.  Groups are given with -g/--group as a label (``A3``,
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 
 from . import graph as gr
@@ -121,10 +121,10 @@ def cmd_export(args):
     if isinstance(group, inf.InfiniteCoxeterGroup):
         if args.radius is None:
             raise SpecError(f"{group.label} is infinite; supply --radius")
-        ball = inf.enumerate_ball(group, args.radius)
-        _write_or_print(json.dumps(_ball_graph_dict(ball), indent=2), args.out)
-        return 0
-    _export_graph(gr.build_graph(group), args.format, args.out)
+        g = inf.enumerate_ball(group, args.radius).graph
+    else:
+        g = gr.build_graph(group)
+    _export_graph(g, args.format, args.out)
     return 0
 
 
@@ -178,18 +178,6 @@ def cmd_delta(args):
     return 0
 
 
-def _ball_graph_dict(ball):
-    return {
-        "group": ball.group.label,
-        "radius": ball.radius,
-        "vertices": [
-            {"id": i, "word": format_word(e.word), "length": e.length}
-            for i, e in enumerate(ball.involutions())
-        ],
-        "edges": ball.graph.edges(),
-    }
-
-
 def cmd_ball(args):
     group = load_group(args.group)
     if isinstance(group, CoxeterGroup):
@@ -201,7 +189,7 @@ def cmd_ball(args):
     print(f"group {group.label}: ball of radius {args.radius} has "
           f"{len(ball)} elements, {len(ball.involutions())} involutions")
     if args.graph:
-        _write_or_print(json.dumps(_ball_graph_dict(ball), indent=2), args.graph)
+        _write_or_print(ball.graph.to_json(indent=2), args.graph)
     if args.evidence:
         report = inf.ball_graph_diameter_evidence(group, args.radius)
         text = report.to_json(indent=2)
@@ -333,6 +321,11 @@ def main(argv=None):
     except (SpecError, ToleranceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): what is still buffered goes to
+        # devnull, so the flush at exit raises no second BrokenPipeError
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

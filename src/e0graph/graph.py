@@ -115,12 +115,14 @@ def is_adjacent(x, y):
 
 
 class E0Graph:
-    """The graph itself: the involution vertices and the adjacency matrix `rows`."""
+    """The graph itself: the involution vertices and the adjacency matrix
+    `rows`; `radius` is the radius of a ball's graph, None for a finite group's."""
 
-    def __init__(self, group, vertices, rows):
+    def __init__(self, group, vertices, rows, radius=None):
         self.group = group
         self.vertices = vertices
         self.rows = rows
+        self.radius = radius
         self._export = None  # (words, rank), see _export_order
 
     @property
@@ -143,9 +145,7 @@ class E0Graph:
     def dense(self):
         """The adjacency unpacked to a V x V bool array (V^2 bytes): for
         ball-sized graphs, whose pair scans are bool matrix products."""
-        bits = np.unpackbits(self.rows.view(np.uint8), axis=1, count=len(self),
-                             bitorder="little")
-        return bits.view(bool)
+        return _bools(self.rows, len(self))
 
     def degrees(self):
         step = max(1, CHUNK_BYTES // self.rows.strides[0])  # bounds the popcount temporary
@@ -163,10 +163,6 @@ class E0Graph:
             i, j = np.divmod(np.flatnonzero(bits) + start * V, V)
             upper = j > i
             yield i[upper], j[upper]
-
-    def edges(self):
-        """Every edge (i, j), i < j, in row-major order."""
-        return [e for i, j in self._edge_arrays() for e in zip(i.tolist(), j.tolist())]
 
     def neighborhood(self, x):
         """The set of vertices adjacent to x."""
@@ -202,7 +198,8 @@ class E0Graph:
 
     def to_json(self, **kwargs):
         """`json.dumps(doc, **kwargs)` of the graph in export ids, where doc is
-        {"group", "vertices": [{"id", "word", "length"}, ...], "edges": [[i, j], ...]}.
+        {"group", "vertices": [{"id", "word", "length"}, ...], "edges": [[i, j], ...]},
+        with "radius" after "group" for a ball's graph.
 
         The edge list is never built whole, and json never encodes an edge.
         doc is encoded once with two edges of markers in place of the edge
@@ -210,14 +207,14 @@ class E0Graph:
         edge and between two edges, and every edge is formatted with it.
         """
         words, _ = self._export_order()
-        doc = {
-            "group": self.group.label,
-            "vertices": [
-                {"id": i, "word": format_word(w), "length": len(w)}
-                for i, w in enumerate(words)
-            ],
-            "edges": [],
-        }
+        doc = {"group": self.group.label}
+        if self.radius is not None:
+            doc["radius"] = self.radius
+        doc["vertices"] = [
+            {"id": i, "word": format_word(w), "length": len(w)}
+            for i, w in enumerate(words)
+        ]
+        doc["edges"] = []
         if not self.rows.any():
             return json.dumps(doc, **kwargs)
         doc["edges"] = [[_MARK, _MARK], [_MARK, _MARK]]
@@ -289,8 +286,7 @@ def _bit_blocks(rows):
     V = len(rows)
     step = max(1, CHUNK_BYTES // max(V, 1))
     for start in range(0, V, step):
-        block = rows[start : start + step].view(np.uint8)
-        yield start, np.unpackbits(block, axis=1, count=V, bitorder="little").view(bool)
+        yield start, _bools(rows[start : start + step], V)
 
 
 @dataclass
@@ -334,15 +330,15 @@ def components_and_diameter(g):
     (`_layer`), listed by lowest vertex index.  The hat diameter is the
     largest eccentricity, found from exact eccentricity bounds (Takes and
     Kosters, CIKM 2011), which rest on ecc(v) <= ecc(u) + 1 for adjacent u
-    and v: balls grow one radius per pass as packed bit rows, highest
-    valency first, a vertex next to a finished one finishes without a
-    gather, and the pass stops once the bounds meet (`_component_diameter`).
-    In the groups the generators finish at radius 2 and every other hat
-    vertex touches one, so a few gathers settle the diameter.  Memory
-    besides the adjacency: the next balls of the rows gathered in a pass,
-    and `CHUNK_BYTES` each for the unpacked neighbour bits and the gather.
-    Only a pass past radius 2 reads balls other than the adjacency rows, so
-    only then is a V x ceil(V/64) uint64 matrix of balls allocated.  Vertex
+    and v: each vertex gathered grows its own ball one search layer per
+    pass (`_layer`, as the components do), highest valency first, a vertex
+    next to a finished one finishes without a gather, and the pass stops
+    once the bounds meet (`_component_diameter`).  In the groups the
+    generators finish at radius 2 and every other hat vertex touches one,
+    so a few gathers settle the diameter.  No V x ceil(V/64) matrix is
+    allocated besides the adjacency: past radius 2 the pass holds two
+    packed rows, the ball and its outer layer, per unfinished gathered
+    vertex, and `_layer` gathers `CHUNK_BYTES` of rows at a time.  Vertex
     indices are the internal ones of `InvolutionSet`, not export ids.
     Raises for rank-1 groups, whose "hat" component is empty and has no
     diameter.
@@ -391,9 +387,10 @@ def _layer(rows, reach, frontier):
     return grown, grown & ~reach
 
 
-def _bools(row, V):
-    """A packed row unpacked to V bools."""
-    return np.unpackbits(row.view(np.uint8), count=V, bitorder="little").view(bool)
+def _bools(rows, V):
+    """A packed row, or a block of packed rows, unpacked to V bools each."""
+    bits = np.unpackbits(rows.view(np.uint8), axis=-1, count=V, bitorder="little")
+    return bits.view(bool)
 
 
 def _component_diameter(g, target):
@@ -404,16 +401,15 @@ def _component_diameter(g, target):
     r - 1 fall short of the component (ecc >= r), and with `covered`, the
     union of the rows of the vertices finished so far (ecc <= r - 1), whose
     neighbours have ecc <= r.  So a growing vertex in `covered` finishes at
-    radius r with no gather.  The others are gathered in descending degree,
-    and each one whose ball is now the component adds its row to `covered`.
-    Once some gathered ball falls short (ecc >= r + 1) and every unfinished
-    vertex is in `covered` (ecc <= r + 1), the diameter is r + 1.  A gather
-    ORs the balls over the closed neighbourhood, taken from the adjacency
-    rows, and the balls are written only after the pass's last gather.  A
-    finished vertex's own bit in `covered` is never read.
+    radius r with no gather.  The others are gathered in descending degree:
+    each grows its own ball by one search layer (`_layer`), and each whose
+    ball is now the component adds its row to `covered`.  Once some gathered
+    ball falls short (ecc >= r + 1) and every unfinished vertex is in
+    `covered` (ecc <= r + 1), the diameter is r + 1.  A finished vertex's
+    own bit in `covered` is never read.
     """
     rows = g.rows
-    V, W = rows.shape
+    V = len(rows)
     in_comp = _bools(target, V)
     size = int(in_comp.sum())
     lens = np.array(g.degrees()) + 1  # closed neighbourhood sizes
@@ -421,54 +417,32 @@ def _component_diameter(g, target):
     covered = _union(rows, np.flatnonzero(in_comp & ~growing))
     active = np.flatnonzero(growing)
     active = active[np.argsort(-lens[active], kind="stable")]
-    step = max(1, CHUNK_BYTES // (8 * W))  # rows gathered at a time
-    span = max(1, CHUNK_BYTES // V)  # rows unpacked at a time
-    balls = rows  # at radius 2, the ball over a closed neighbourhood is the OR of its rows
+    balls = {}  # (ball, outer layer) of each unfinished gathered vertex
     radius = int(size > 1)
     while active.size:
         radius += 1
         done = _bools(covered, V)[active]
         finished, gathered = active[done], active[~done]
         covered |= _union(rows, finished)
-        offs = np.concatenate(([0], np.cumsum(lens[gathered])))
-        # the next balls, one block per gather: freeing one pass-sized array
-        # lifts malloc's mmap threshold, and the dense exports then peaked 6% higher
-        grown = []
+        for v in finished.tolist():
+            balls.pop(v, None)
         full = np.zeros(gathered.size, dtype=bool)
         witness = False  # some gathered ball falls short: the diameter exceeds radius
-        p = 0
-        while p < gathered.size:
-            # vertices p..q-1 gather at most `step` rows and unpack at most
-            # `span` rows, or q = p + 1
-            q = max(p + 1, int(np.searchsorted(offs, offs[p] + step, "right")) - 1)
-            q = min(q, p + span)
-            idx = gathered[p:q]
-            closed = np.unpackbits(rows[idx].view(np.uint8), axis=1, count=V,
-                                   bitorder="little").view(bool)
-            closed[np.arange(q - p), idx] = True
-            cols = np.flatnonzero(closed) % V
-            if q == p + 1:  # one closed neighbourhood, perhaps more than `step` rows
-                grown.append(_union(balls, cols)[None])
+        for k, v in enumerate(gathered.tolist()):
+            seed = balls.pop(v, None) or (_with_bit(rows[v], v), rows[v])  # radius 1
+            ball, frontier = _layer(rows, *seed)
+            if (ball == target).all():
+                full[k] = True
+                covered |= rows[v]
             else:
-                grown.append(np.bitwise_or.reduceat(balls[cols], offs[p:q] - offs[p], axis=0))
-            f = full[p:q] = (grown[-1] == target).all(axis=1)
-            # the bounds can only meet once `covered` grows or the first
-            # gathered ball falls short
-            recheck = f.any()
-            if recheck:
-                covered |= np.bitwise_or.reduce(rows[idx[f]], axis=0)
-            if not (witness or f.all()):
-                witness = recheck = True
-            # full[q:] is still False, so ~full marks every unfinished vertex
-            if witness and recheck and _bools(covered, V)[gathered[~full]].all():
+                balls[v] = ball, frontier
+                if witness:  # the bounds can only meet once `covered`
+                    continue  # grows or the first witness appears
+                witness = True
+            # full[k + 1:] is still False, so ~full marks every unfinished vertex
+            if witness and _bools(covered, V)[gathered[~full]].all():
                 return radius + 1
-            p = q
         active = gathered[~full]
-        if active.size:  # the next pass reads the balls of this radius
-            if balls is rows:
-                balls = np.tile(target, (V, 1))
-            balls[finished] = target
-            balls[gathered] = np.concatenate(grown)
     return radius
 
 

@@ -263,7 +263,7 @@ class Ball:
         for v, n_set in enumerate(n_sets):
             member[v, [column[p] for p in n_set]] = True
         rows = _pairwise_disjoint_rows(pack_words(member))
-        return E0Graph(self.group, InvolutionSet(self.group, invs), rows)
+        return E0Graph(self.group, InvolutionSet(self.group, invs), rows, self.radius)
 
     def __len__(self):
         return len(self.elements)

@@ -82,6 +82,15 @@ def test_export_ball_json(capsys, tmp_path):
     assert data["radius"] == 3 and data["group"] == "U3"
 
 
+@pytest.mark.parametrize("fmt", ["dot", "csv"])
+def test_export_ball_formats(capsys, fmt):
+    # a ball's graph goes through the finite groups' writers
+    code, out, _ = run(capsys, "export", "-g", "U2", "--radius", "3", "--format", fmt)
+    assert code == 0
+    head = {"dot": 'graph "U2" {', "csv": "valency,count"}[fmt]
+    assert out.splitlines()[0] == head
+
+
 def test_ball_exports_are_pinned(capsys, tmp_path):
     # SHA-256 taken while ball edges came from a Python pair loop
     path = tmp_path / "u3.json"
@@ -215,3 +224,17 @@ def test_module_entry_point_runs_without_warnings():
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def test_closed_stdout_ends_quietly():
+    # `export ... | head`: the reader goes after one line of E6's 238 KB DOT
+    env = dict(os.environ, PYTHONPATH=str(Path(e0graph.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "e0graph.cli", "export", "-g", "E6", "--format", "dot"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b'graph "E6" {\n'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert err == b""

@@ -493,23 +493,24 @@ def _random_edges(seed, hat):
     return edges + list(zip(tail, tail[1:]))
 
 
-@lru_cache(maxsize=None)
-def _random_graph(seed):
-    """A random graph on A5's 75 vertices, w0 isolated, and its oracle
-    components and hat diameter."""
+@pytest.fixture(scope="module")
+def random_graphs():
+    """99 seeded random graphs on A5's 75 vertices, w0 isolated, each with
+    its oracle components and hat diameter.  Built once, in setup, so that a
+    test's call time is the pass alone."""
     g = graph("A5")
     w0 = g.vertices.index_of(g.group.longest_element())
-    rand = _with_edges(g, _random_edges(seed, [v for v in range(len(g)) if v != w0]))
-    return rand, _components_and_diameter_oracle(rand)
+    hat = [v for v in range(len(g)) if v != w0]
+    rands = [_with_edges(g, _random_edges(seed, hat)) for seed in range(99)]
+    return [(rand, _components_and_diameter_oracle(rand)) for rand in rands]
 
 
 @pytest.mark.parametrize("chunk", [gr.CHUNK_BYTES, 8])
-def test_diameter_matches_bfs_on_random_graphs(chunk, monkeypatch):
+def test_diameter_matches_bfs_on_random_graphs(chunk, random_graphs, monkeypatch):
     # hat diameters from 2 to 73, where the groups' are all 1 or 3
     monkeypatch.setattr(gr, "CHUNK_BYTES", chunk)
     diameters = set()
-    for seed in range(99):
-        rand, want = _random_graph(seed)
+    for seed, (rand, want) in enumerate(random_graphs):
         assert components_and_diameter(rand) == want, seed
         diameters.add(want[1])
     assert min(diameters) == 2 and max(diameters) == 73 and len(diameters) > 20
@@ -704,7 +705,7 @@ def test_edges_match_bit_rows(label, chunk, monkeypatch):
         monkeypatch.setattr(gr, "EXPORT_BLOCK", 3)
     g = graph(label)
     want = [(i, j) for i, row in enumerate(g.adj) for j in _iter_bits(row) if j > i]
-    assert g.edges() == want
+    assert [e for i, j in g._edge_arrays() for e in zip(i.tolist(), j.tolist())] == want
     assert len(want) == g.edge_count()
     _, rank = g._export_order()
     exported = sorted(tuple(sorted((int(rank[i]), int(rank[j])))) for i, j in want)
