@@ -744,6 +744,23 @@ def test_json_export_takes_any_dumps_arguments(kwargs, monkeypatch):
     assert g.to_json(**kwargs) == json.dumps(json.loads(g.to_json()), **kwargs)
 
 
+# SHA-256 of to_dot() when each edge was formatted on its own
+DOT_SHA256 = {
+    "A1": "3f3deae1482538c8ae93905076633f01e32f6327fb04f76f3220847ae3fc9577",
+    "A2": "16d54c4cae75456eed5d901e30247e1dbc53ed48211e78730f290307d26ec76a",
+    "A5": "b0f131366c9329f7a2d7b44d8374027d6dbbe843ef0102915fb21aa6ae318749",
+    "B2xA1xA2": "73ba96ff8615867272852022f5b45cbee5c77dde3fe37807fe6f61c81a02c629",
+}
+
+
+@pytest.mark.parametrize("label", sorted(DOT_SHA256))
+@pytest.mark.parametrize("block", [3, 4])  # a row's edges straddle blocks
+def test_dot_export_is_pinned(label, block, monkeypatch):
+    monkeypatch.setattr(gr, "EXPORT_BLOCK", block)
+    text = build_graph(CoxeterGroup.from_spec(label)).to_dot()
+    assert hashlib.sha256(text.encode()).hexdigest() == DOT_SHA256[label]
+
+
 @pytest.mark.parametrize("label", ["A4", "B3", "I2(65)"])
 def test_has_edge_matches_bit_rows(label):
     g = graph(label)
