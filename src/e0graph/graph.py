@@ -6,15 +6,16 @@ numbered by length, ties kept in walk order.  Valencies, components, the
 diameter and the pendants do not depend on that numbering, so no word is
 computed to build or measure the graph.  Only the JSON/DOT exports show
 vertex ids: they number the vertices by (length, lexmin word), through a
-permutation each graph computes once.  x and y are joined exactly when
-l(xy) = l(x) + l(y), which happens iff N(x) and N(y) are disjoint.  The
-N-sets of all vertices are packed into k = ceil(|Phi+| / 64) machine words
-each (`CoxeterGroup.n_set_words`), so building the graph is a pairwise AND
-over k vectors of words, whatever the width.  The adjacency is one packed
-V x ceil(V/64) little-endian uint64 matrix, `E0Graph.rows` (bit j of row i
-set iff i and j are joined, zero padding past column V), and every reader
-uses it as it is.  The walk stops, and the group is refused, once it finds
-more involutions than `vertex_limit` allows: a matrix within
+permutation each graph computes once, and write each vertex's run of edges
+to later ids with one str.join (`E0Graph._edge_blocks`).  x and y are joined
+exactly when l(xy) = l(x) + l(y), which happens iff N(x) and N(y) are
+disjoint.  The N-sets of all vertices are packed into k = ceil(|Phi+| / 64)
+machine words each (`CoxeterGroup.n_set_words`), so building the graph is a
+pairwise AND over k vectors of words, whatever the width.  The adjacency is
+one packed V x ceil(V/64) little-endian uint64 matrix, `E0Graph.rows` (bit j
+of row i set iff i and j are joined, zero padding past column V), and every
+reader uses it as it is.  The walk stops, and the group is refused, once it
+finds more involutions than `vertex_limit` allows: a matrix within
 `ADJACENCY_BUDGET`.  So B8, E7xA1 and D9 build, and E8, A11 and A15 are
 refused.  A ball of an infinite group (`infinite.Ball.graph`) is the same
 `E0Graph` on the ball's involutions, with its N-sets packed by the same
@@ -148,7 +149,7 @@ class E0Graph:
         return _bools(self.rows, len(self))
 
     def degrees(self):
-        step = max(1, CHUNK_BYTES // self.rows.strides[0])  # bounds the popcount temporary
+        step = max(1, CHUNK_BYTES // max(self.rows.strides[0], 1))  # bounds the popcount temporary
         return [d for s in range(0, len(self), step)
                 for d in np.bitwise_count(self.rows[s : s + step]).sum(axis=1).tolist()]
 
@@ -157,12 +158,16 @@ class E0Graph:
 
     def _edge_arrays(self):
         """The edges as (i, j) index arrays, i < j, in row-major order, one
-        row block at a time."""
+        row block at a time.  A block is unpacked from the word holding its
+        first diagonal bit on: the words left of it are all lower triangle."""
         V = len(self.rows)
-        for start, bits in _bit_blocks(self.rows):
-            i, j = np.divmod(np.flatnonzero(bits) + start * V, V)
-            upper = j > i
-            yield i[upper], j[upper]
+        step = max(1, CHUNK_BYTES // max(V, 1))
+        for start in range(0, V, step):
+            w = 64 * (start >> 6)  # the first column unpacked
+            bits = _bools(self.rows[start : start + step, w >> 6 :], V - w)
+            i, j = np.divmod(np.flatnonzero(bits), V - w)
+            upper = j + w > i + start
+            yield i[upper] + start, j[upper] + w
 
     def neighborhood(self, x):
         """The set of vertices adjacent to x."""
@@ -177,24 +182,50 @@ class E0Graph:
             words = [e.word for e in self.vertices]
             # a lexmin word is reduced, so its length is the element's
             order = sorted(range(len(words)), key=lambda i: (len(words[i]), words[i]))
-            rank = np.empty(len(order), dtype=np.int64)
-            rank[order] = np.arange(len(order))
+            rank = np.argsort(order)  # the inverse permutation
             self._export = [words[i] for i in order], rank
         return self._export
 
-    def _export_edges(self):
-        """The edges in export ids: (i, j) arrays, i < j, in row-major order,
-        `EXPORT_BLOCK` edges at a time.  Each edge is coded i * V + j, and
-        one sort of the codes gives the row-major order."""
+    def _edge_text(self, head, pre, mid, post, sep, tail):
+        """head, the edges in export ids and tail, as one str: edge (a, b),
+        a < b, reads pre + a + mid + b + post, and sep goes between two.
+        The pieces (`_edge_blocks`) are copied into one buffer of the text's
+        exact size in bytes (vertex v's id is written deg(v) times) and
+        decoded once: str.join, or a str grown by +=, left heap holes that
+        raised the dense benchmark's peak RSS by up to 12 MB."""
+        _, rank = self._export_order()
+        deg = self.degrees()
+        E = sum(deg) // 2
+        digits = np.array([len(str(i)) for i in range(len(rank))])[rank]  # of v's export id
+        size = (len(head.encode()) + E * len((pre + mid + post).encode())
+                + (E - 1) * len(sep.encode()) + int(np.dot(deg, digits)) + len(tail.encode()))
+        out, pos = memoryview(bytearray(size)), 0
+        for piece in chain([head], self._edge_blocks(pre, mid, post, sep), [tail]):
+            data = piece.encode()
+            out[pos : pos + len(data)] = data  # raises if the text outgrows the buffer
+            pos += len(data)
+        return str(out[:pos], "utf-8")
+
+    def _edge_blocks(self, pre, mid, post, sep):
+        """The edges in row-major order, `EXPORT_BLOCK` of them a string; each
+        string but the first starts with sep.  The order is one sort of the
+        codes a * V + b (the smaller of an edge's two codes).  Each block is
+        cut where a changes, and a row's run of edges is one str.join of the
+        b ids: no edge is formatted on its own."""
         _, rank = self._export_order()
         V = len(rank)
-        codes = []
-        for i, j in self._edge_arrays():
-            a, b = rank[i], rank[j]
-            codes.append(np.minimum(a, b) * V + np.maximum(a, b))
-        codes = np.sort(np.concatenate(codes))
+        codes = np.concatenate([np.minimum(rank[i] * V + rank[j], rank[j] * V + rank[i])
+                                for i, j in self._edge_arrays()])
+        codes.sort()
+        ids = np.array([str(i) for i in range(V)], dtype=object)
         for start in range(0, len(codes), EXPORT_BLOCK):
-            yield np.divmod(codes[start : start + EXPORT_BLOCK], V)
+            a, b = np.divmod(codes[start : start + EXPORT_BLOCK], V)
+            cuts = [0, *(np.flatnonzero(np.diff(a)) + 1).tolist(), len(a)]
+            names, runs = ids[b].tolist(), []
+            for s, e, row in zip(cuts, cuts[1:], a[cuts[:-1]].tolist()):
+                run = f"{pre}{row}{mid}"
+                runs.append(run + (post + sep + run).join(names[s:e]) + post)
+            yield (sep if start else "") + sep.join(runs)
 
     def to_json(self, **kwargs):
         """`json.dumps(doc, **kwargs)` of the graph in export ids, where doc is
@@ -204,7 +235,7 @@ class E0Graph:
         The edge list is never built whole, and json never encodes an edge.
         doc is encoded once with two edges of markers in place of the edge
         list; the text between the markers is what json writes inside an
-        edge and between two edges, and every edge is formatted with it.
+        edge and between two edges; `_edge_blocks` joins each row's edges with it.
         """
         words, _ = self._export_order()
         doc = {"group": self.group.label}
@@ -214,26 +245,19 @@ class E0Graph:
             {"id": i, "word": format_word(w), "length": len(w)}
             for i, w in enumerate(words)
         ]
-        doc["edges"] = []
         if not self.rows.any():
-            return json.dumps(doc, **kwargs)
+            return json.dumps({**doc, "edges": []}, **kwargs)
         doc["edges"] = [[_MARK, _MARK], [_MARK, _MARK]]
         head, mid, sep, _, tail = json.dumps(doc, **kwargs).split(json.dumps(_MARK))
-        body = (  # one string per block, not per edge
-            sep.join(f"{a}{mid}{b}" for a, b in zip(i.tolist(), j.tolist()))
-            for i, j in self._export_edges()
-        )
-        return head + sep.join(body) + tail
+        return self._edge_text(head, "", mid, "", sep, tail)
 
     def to_dot(self):
         words, _ = self._export_order()
         lines = [f'graph "{self.group.label}" {{']
         lines.extend(f'  v{i} [label="{format_word(w)}"];' for i, w in enumerate(words))
-        for i, j in self._export_edges():  # one string per block, not per edge
-            pairs = zip(i.tolist(), j.tolist())
-            lines.append("\n".join(f"  v{a} -- v{b};" for a, b in pairs))
-        lines.append("}")
-        return "\n".join(lines)
+        if not self.rows.any():
+            return "\n".join([*lines, "}"])
+        return self._edge_text("\n".join(lines) + "\n", "  v", " -- v", ";", "\n", "\n}")
 
 
 def build_graph(group):
@@ -278,15 +302,6 @@ def _pairwise_disjoint_rows(words):
 def _set_bits(row):
     """The indices of the set bits of a packed row, ascending."""
     return np.flatnonzero(np.unpackbits(row.view(np.uint8), bitorder="little"))
-
-
-def _bit_blocks(rows):
-    """(start, bool block) pairs: rows start.. of a packed V x ceil(V/64)
-    matrix unpacked to V columns each, in blocks of about `CHUNK_BYTES`."""
-    V = len(rows)
-    step = max(1, CHUNK_BYTES // max(V, 1))
-    for start in range(0, V, step):
-        yield start, _bools(rows[start : start + step], V)
 
 
 @dataclass

@@ -91,6 +91,16 @@ def test_export_ball_formats(capsys, fmt):
     assert out.splitlines()[0] == head
 
 
+@pytest.mark.parametrize("fmt,want", [
+    ("dot", ['graph "U3" {', "}"]),
+    ("csv", ["valency,count"]),
+])
+def test_export_empty_ball(capsys, fmt, want):
+    # the radius-0 ball is the identity alone: a graph with no vertex
+    code, out, _ = run(capsys, "export", "-g", "U3", "--radius", "0", "--format", fmt)
+    assert (code, out.strip().splitlines()) == (0, want)
+
+
 def test_ball_exports_are_pinned(capsys, tmp_path):
     # SHA-256 taken while ball edges came from a Python pair loop
     path = tmp_path / "u3.json"

@@ -15,6 +15,7 @@ import pytest
 
 from e0graph import graph as gr
 from e0graph.coxeter import CoxeterGroup, Element, SpecError, _iter_bits, format_word
+from e0graph.infinite import InfiniteCoxeterGroup, enumerate_ball
 from e0graph.tables import dihedral_distribution
 from e0graph.verify import SUITE
 from e0graph.graph import (
@@ -742,6 +743,21 @@ def test_json_export_takes_any_dumps_arguments(kwargs, monkeypatch):
     monkeypatch.setattr(gr, "EXPORT_BLOCK", 4)
     g = build_graph(CoxeterGroup.from_spec("B2xA1xA2"))
     assert g.to_json(**kwargs) == json.dumps(json.loads(g.to_json()), **kwargs)
+
+
+@pytest.mark.parametrize("which", ["B2xA1xA2", "U3 ball"])
+def test_exports_do_not_depend_on_the_block(which, monkeypatch):
+    # block 1 writes every edge apart; 3 cuts some row's run of edges, and
+    # the ball has rows with no edge to a later export id
+    if which == "U3 ball":
+        g = enumerate_ball(InfiniteCoxeterGroup.from_spec("U3"), 4).graph
+    else:
+        g = build_graph(CoxeterGroup.from_spec(which))
+    kwargs = [{}, {"indent": 2}, {"separators": (",", ":")}]
+    want = [g.to_json(**k) for k in kwargs], g.to_dot()
+    for block in (1, 3):
+        monkeypatch.setattr(gr, "EXPORT_BLOCK", block)
+        assert ([g.to_json(**k) for k in kwargs], g.to_dot()) == want
 
 
 # SHA-256 of to_dot() when each edge was formatted on its own
