@@ -124,7 +124,7 @@ class E0Graph:
         self.vertices = vertices
         self.rows = rows
         self.radius = radius
-        self._export = None  # (words, rank), see _export_order
+        self._export = None  # (words, labels, rank), see _export_order
 
     @property
     def adj(self):
@@ -175,15 +175,17 @@ class E0Graph:
         return {self.vertices.elements[j] for j in _set_bits(self.rows[i]).tolist()}
 
     def _export_order(self):
-        """(words, rank): the lexmin words in export order, and the export id
-        of each vertex index.  Export ids number the vertices by (length,
-        lexmin word); the words are computed here only, once per graph."""
+        """(words, labels, rank): the lexmin words in export order, their
+        `format_word` labels, and the export id of each vertex index.  Export
+        ids number the vertices by (length, lexmin word); the words and
+        labels are computed here only, once per graph."""
         if self._export is None:
             words = [e.word for e in self.vertices]
             # a lexmin word is reduced, so its length is the element's
             order = sorted(range(len(words)), key=lambda i: (len(words[i]), words[i]))
             rank = np.argsort(order)  # the inverse permutation
-            self._export = [words[i] for i in order], rank
+            words = [words[i] for i in order]
+            self._export = words, np.fromiter(map(format_word, words), dtype=object, count=len(words)), rank
         return self._export
 
     def _edge_text(self, head, pre, mid, post, sep, tail):
@@ -193,7 +195,7 @@ class E0Graph:
         exact size in bytes (vertex v's id is written deg(v) times) and
         decoded once: str.join, or a str grown by +=, left heap holes that
         raised the dense benchmark's peak RSS by up to 12 MB."""
-        _, rank = self._export_order()
+        *_, rank = self._export_order()
         deg = self.degrees()
         E = sum(deg) // 2
         digits = np.array([len(str(i)) for i in range(len(rank))])[rank]  # of v's export id
@@ -212,7 +214,7 @@ class E0Graph:
         codes a * V + b (the smaller of an edge's two codes).  Each block is
         cut where a changes, and a row's run of edges is one str.join of the
         b ids: no edge is formatted on its own."""
-        _, rank = self._export_order()
+        *_, rank = self._export_order()
         V = len(rank)
         codes = np.concatenate([np.minimum(rank[i] * V + rank[j], rank[j] * V + rank[i])
                                 for i, j in self._edge_arrays()])
@@ -237,13 +239,13 @@ class E0Graph:
         list; the text between the markers is what json writes inside an
         edge and between two edges; `_edge_blocks` joins each row's edges with it.
         """
-        words, _ = self._export_order()
+        words, labels, _ = self._export_order()
         doc = {"group": self.group.label}
         if self.radius is not None:
             doc["radius"] = self.radius
         doc["vertices"] = [
-            {"id": i, "word": format_word(w), "length": len(w)}
-            for i, w in enumerate(words)
+            {"id": i, "word": label, "length": len(w)}
+            for i, (w, label) in enumerate(zip(words, labels))
         ]
         if not self.rows.any():
             return json.dumps({**doc, "edges": []}, **kwargs)
@@ -252,9 +254,9 @@ class E0Graph:
         return self._edge_text(head, "", mid, "", sep, tail)
 
     def to_dot(self):
-        words, _ = self._export_order()
+        _, labels, _ = self._export_order()
         lines = [f'graph "{self.group.label}" {{']
-        lines.extend(f'  v{i} [label="{format_word(w)}"];' for i, w in enumerate(words))
+        lines.extend(f'  v{i} [label="{label}"];' for i, label in enumerate(labels))
         if not self.rows.any():
             return "\n".join([*lines, "}"])
         return self._edge_text("\n".join(lines) + "\n", "  v", " -- v", ";", "\n", "\n}")

@@ -13,17 +13,21 @@ row s-1 only.  Single elements step with the same formula, so a matrix
 reached along the same word is bit-identical on both paths.  w is an
 involution when its key equals the key of w^-1; comparing keys keeps the
 test on the rounding grid, where an absolute bound on M^2 - 1 fails once
-the entries grow large.  A ball builds its root system only when it is
-first asked for an N-set.  N-sets are read off the reduced word, so
+the entries grow large.  N-sets are read off the reduced word, so
 adjacency between ball members is exact, not an artifact of the truncation
-radius.  The adjacency of a ball's involutions is the packed matrix of a
-finite group's graph, `Ball.graph`, and every pair scan of the evidence
-reports reads it a whole block of pairs at a time.
+radius.  Two involutions are adjacent when l(xy) = l(x) + l(y), that is
+when N(x) and N(y) are disjoint (Bjorner-Brenti, GTM 231, ch. 4), so a ball
+needs only the roots that occur in its members' N-sets: `RootColumns` keys
+those root vectors directly, and no root system is closed for a ball.  The
+adjacency of a ball's involutions is the packed matrix of a finite group's
+graph, `Ball.graph`, and every pair scan of the evidence reports reads it a
+whole block of pairs at a time.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -31,6 +35,7 @@ import numpy as np
 
 from .coxeter import (
     INFINITE_BOND,
+    ROOT_KEY_DECIMALS,
     SIGN_EPS,
     CoxeterMatrix,
     GroupSpec,
@@ -47,6 +52,7 @@ from .graph import E0Graph, InvolutionSet, _pairwise_disjoint_rows, _set_bits
 
 MATRIX_KEY_DECIMALS = 6
 MATRIX_COLLISION_TOL = 1e-5
+ROOT_COLLISION_TOL = 1e-5
 
 
 def _mat_keys(mats):
@@ -119,7 +125,6 @@ class InfiniteCoxeterGroup(GeometricGroup):
         self.identity_mat = np.eye(self.rank)
         self.identity_mat.flags.writeable = False
         self._form2 = 2.0 * np.array(self.form)  # row s-1: 2 <a_s, .>
-        self._roots_by_depth = {}
 
     @classmethod
     def from_spec(cls, spec):
@@ -141,14 +146,6 @@ class InfiniteCoxeterGroup(GeometricGroup):
 
     def longest_element(self):
         raise SpecError(f"{self.label} is infinite and has no longest element")
-
-    def root_system(self, depth):
-        """Root system generated to the given depth (cached per depth)."""
-        if depth not in self._roots_by_depth:
-            self._roots_by_depth[depth] = generate_root_system(
-                self.matrix, max_depth=depth
-            )
-        return self._roots_by_depth[depth]
 
     # -- carriers for the shared word machinery --------------------------------
 
@@ -236,6 +233,70 @@ class InfiniteCoxeterGroup(GeometricGroup):
         return MatrixElement(self, mat, tuple(word))
 
 
+class RootColumns:
+    """Columns for the roots of N-sets, keyed on their coordinates.
+
+    A root's key is its vector's `float_keys` at ROOT_KEY_DECIMALS, and its
+    column is the order in which that key was first added.  The simple roots
+    are added first, so the simple root of generator i is column i - 1.
+    Rounding must neither merge two roots nor split one: a key hit on a
+    vector more than ROOT_COLLISION_TOL from the column's vector, or two
+    columns whose vectors lie within it of each other, raises ToleranceError.
+    `add` takes a lock, so threads that share a ball agree on the columns.
+    """
+
+    def __init__(self, rank):
+        self.index = {}  # key -> column
+        self.vectors = np.empty((0, rank))  # row c: the vector of column c
+        # a fixed positive direction in general position for the split test
+        self._direction = np.random.default_rng(0).uniform(1.0, 2.0, rank)
+        self._lock = threading.Lock()
+        self.add(np.eye(rank))
+
+    def __len__(self):
+        return len(self.index)
+
+    def add(self, vectors):
+        """The column of each root vector (the rows), as an index array; a
+        root not seen before gets the next free column."""
+        vectors = np.asarray(vectors, dtype=float).reshape(-1, self.vectors.shape[1])
+        keys = float_keys(vectors, ROOT_KEY_DECIMALS)
+        new = {}  # key -> column, for the roots not seen before
+        with self._lock:
+            cols = np.array([
+                self.index[k] if k in self.index else new.setdefault(k, len(self) + len(new))
+                for k in keys
+            ], dtype=np.intp)
+            _, first = np.unique(cols, return_index=True)  # the new columns sort last
+            stacked = np.concatenate([self.vectors, vectors[first[len(first) - len(new):]]])
+            if len(cols) and np.abs(vectors - stacked[cols]).max() > ROOT_COLLISION_TOL:
+                raise ToleranceError("root key collision between distinct roots")
+            if new:
+                self._check_split(stacked)
+            self.index.update(new)
+            self.vectors = stacked
+        return cols
+
+    def _check_split(self, vectors):
+        """Raise when two rows lie within ROOT_COLLISION_TOL (max norm).
+
+        Such rows project onto the direction d at most tol * |d|_1 apart.
+        So after sorting the projections only pairs whose gap is within
+        that bound are compared, and offset k + 1 is tried only while some
+        pair at offset k still is.
+        """
+        proj = vectors @ self._direction
+        order = np.argsort(proj, kind="stable")
+        p, v = proj[order], vectors[order]
+        window = ROOT_COLLISION_TOL * self._direction.sum()
+        for k in range(1, len(p)):
+            near = np.flatnonzero(p[k:] - p[:-k] <= window)
+            if not len(near):
+                break
+            if (np.abs(v[near + k] - v[near]).max(axis=1) <= ROOT_COLLISION_TOL).any():
+                raise ToleranceError("root key split: two columns hold one root")
+
+
 class Ball:
     """All elements of length <= radius, with exact N-set adjacency."""
 
@@ -247,21 +308,22 @@ class Ball:
         self._involutions = involutions
 
     @cached_property
-    def root_system(self):
-        """The roots to depth max(radius, 1), built on first use."""
-        return self.group.root_system(max(self.radius, 1))
+    def _columns(self):
+        """The `RootColumns` of this ball's N-set roots: the simple roots
+        first, then those of the involutions (added by `graph`) and of any
+        other member passed to `n_set`."""
+        return RootColumns(self.group.rank)
 
     @cached_property
     def graph(self):
         """The excess-zero graph on `involutions()`, in their order, built on
-        first use.  The columns of its N-set words are the roots that occur
-        in some involution's N-set, so the words stay narrow."""
+        first use.  The columns of its N-set words are `_columns`, which the
+        involutions' N-set roots all join in one call, so the words stay
+        narrow."""
         invs = self._involutions
-        n_sets = [self.n_set(z) for z in invs]
-        column = {p: c for c, p in enumerate(sorted(set().union(*n_sets)))}
-        member = np.zeros((len(invs), len(column)), dtype=bool)
-        for v, n_set in enumerate(n_sets):
-            member[v, [column[p] for p in n_set]] = True
+        cols = self._columns.add([r for z in invs for r in z.n_set_vectors()])
+        member = np.zeros((len(invs), len(self._columns)), dtype=bool)
+        member[np.repeat(np.arange(len(invs)), [z.length for z in invs]), cols] = True
         rows = _pairwise_disjoint_rows(pack_words(member))
         return E0Graph(self.group, InvolutionSet(self.group, invs), rows, self.radius)
 
@@ -276,15 +338,11 @@ class Ball:
         return self._involutions
 
     def n_set(self, elem):
-        """N(elem) as indices into `root_system`; raises ToleranceError when
-        one of its roots lies deeper than the system was generated."""
-        indices = self.root_system.indices_of(elem.n_set_vectors())
-        if None in indices:
-            raise ToleranceError(
-                f"root of {elem!r} escaped the generated system "
-                f"(depth {self.radius})"
-            )
-        return frozenset(indices)
+        """N(elem) as columns of `_columns`; raises ToleranceError when elem,
+        by its matrix key, is not a member of the ball."""
+        if elem not in self:
+            raise ToleranceError(f"{elem!r} escaped the ball (radius {self.radius})")
+        return frozenset(self._columns.add(elem.n_set_vectors()).tolist())
 
     def is_adjacent(self, x, y):
         """Exact edge test for involutions in the ball."""
@@ -523,7 +581,7 @@ def _max_parabolic_evidence(group, radius, extra):
     ball = enumerate_ball(group, max(radius, x.length, y.length))
     g = ball.graph
     ix, iy = g.vertices.index_of(x), g.vertices.index_of(y)
-    # the simple root of generator i has index i - 1
+    # the simple root of generator i is column i - 1
     descents_x, descents_y = ({i for i in R if i - 1 in ball.n_set(w)} for w in (x, y))
     claims.append(
         Claim(

@@ -57,7 +57,8 @@ def test_involution_counts(label, count):
 
 def _export_elements(g):
     """The vertices of g in export-id order; checks the export's words."""
-    words, rank = g._export_order()
+    words, labels, rank = g._export_order()
+    assert labels.tolist() == [format_word(w) for w in words]
     assert sorted(rank.tolist()) == list(range(len(g)))
     elems = [g.vertices.elements[i] for i in np.argsort(rank)]
     assert [e.word for e in elems] == words
@@ -129,17 +130,22 @@ def test_no_word_before_the_exports(monkeypatch):
 
 
 def test_exports_compute_each_word_once(monkeypatch):
-    calls = []
+    calls, labels = [], []
     lexmin = CoxeterGroup._lexmin_word
 
     def counted(self, a):
         calls.append(a)
         return lexmin(self, a)
 
+    def counted_label(word):
+        labels.append(word)
+        return format_word(word)
+
     monkeypatch.setattr(CoxeterGroup, "_lexmin_word", counted)
+    monkeypatch.setattr(gr, "format_word", counted_label)
     g = build_graph(CoxeterGroup.from_spec("A5"))
     g.to_json(), g.to_json(indent=2), g.to_dot()
-    assert len(calls) == len(g) == 75
+    assert len(calls) == len(labels) == len(g) == 75
 
 
 @pytest.mark.parametrize("label", ["A5", "B2xA1xA2"])
@@ -708,7 +714,7 @@ def test_edges_match_bit_rows(label, chunk, monkeypatch):
     want = [(i, j) for i, row in enumerate(g.adj) for j in _iter_bits(row) if j > i]
     assert [e for i, j in g._edge_arrays() for e in zip(i.tolist(), j.tolist())] == want
     assert len(want) == g.edge_count()
-    _, rank = g._export_order()
+    *_, rank = g._export_order()
     exported = sorted(tuple(sorted((int(rank[i]), int(rank[j])))) for i, j in want)
     dot = [line for line in g.to_dot().splitlines() if " -- " in line]
     assert dot == [f"  v{i} -- v{j};" for i, j in exported]

@@ -1,6 +1,8 @@
 """Ball exploration of infinite groups and the diameter evidence."""
 
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from e0graph.coxeter import (
     SpecError,
     ToleranceError,
     generate_root_system,
+    pack_words,
     parse_group_spec,
 )
 from e0graph.infinite import (
@@ -152,13 +155,108 @@ def test_ball_matrices_match_single_element_path():
         assert single.key == e.key and ball.by_key[single.key] is e
 
 
-def test_ball_builds_roots_on_demand():
-    group = u(3)
-    ball = enumerate_ball(group, 6)
-    assert not group._roots_by_depth
+def test_balls_close_no_root_system(monkeypatch):
+    calls = []
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(matrix.rank)
+        return generate_root_system(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(infinite, "generate_root_system", counted)
+    ball = enumerate_ball(u(3), 6)
+    assert ball.graph.edge_count()
     x = ball.involutions()[0]
     assert ball.n_set(x) == {x.word[0] - 1}
-    assert list(group._roots_by_depth) == [6]
+    assert all(len(ball.n_set(e)) == e.length for e in ball.elements)
+    assert ball_graph_diameter_evidence(u(3), 4).ok
+    assert product_diameter_check(("U3", "U3"), 3).ok
+    assert calls == []
+    # the (3,3,7) witnesses come from finite rank-2 parabolics, closed on their own
+    assert ball_graph_diameter_evidence(InfiniteCoxeterGroup(H337), 6).ok
+    assert calls and set(calls) == {2}
+
+
+@pytest.mark.parametrize("group,radius", [
+    (u(3), 6),
+    (u(4), 4),
+    (InfiniteCoxeterGroup(H337), 12),
+    (InfiniteCoxeterGroup(AFFINE_A2), 15),
+    (InfiniteCoxeterGroup.from_spec("U3xU3"), 3),
+], ids=["U3", "U4", "337", "A2~", "U3xU3"])
+def test_root_columns_match_root_system(group, radius):
+    # the independent method: a root system closed to the ball's radius
+    roots = generate_root_system(group.matrix, max_depth=radius)
+    ball = enumerate_ball(group, radius)
+    rows = ball.graph.rows
+    indices = [roots.indices_of(e.n_set_vectors()) for e in ball.elements]
+    n_sets = [ball.n_set(e) for e in ball.elements]
+    # one root-system index per column, and no index for two columns
+    by_column = roots.indices_of(ball._columns.vectors)
+    assert by_column[: group.rank] == list(range(group.rank))
+    assert None not in by_column and len(set(by_column)) == len(by_column)
+    assert all(p < roots.pos_count for p in by_column)
+    for n_set, idx in zip(n_sets, indices):
+        assert {by_column[c] for c in n_set} == set(idx)
+    assert set(by_column) == set().union(*indices)
+    # the graph from root-system indices
+    invs = ball.involutions()
+    member = np.zeros((len(invs), roots.pos_count), dtype=bool)
+    for v, z in enumerate(invs):
+        member[v, roots.indices_of(z.n_set_vectors())] = True
+    assert np.array_equal(rows, graph._pairwise_disjoint_rows(pack_words(member)))
+
+
+def test_threads_sharing_a_ball_agree_on_columns():
+    ball = enumerate_ball(u(4), 4)
+    members = ball.elements[::-1]
+    out = [None] * 4
+
+    def work(t):
+        out[t] = [ball.n_set(e) for e in members[t % 2 :: 2]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    columns = ball._columns
+    assert len(columns.vectors) == len(columns) == len(set(columns.index.values()))
+    assert out[0] == out[2] and out[1] == out[3]
+    for t in (0, 1):
+        assert all(len(n) == e.length for n, e in zip(out[t], members[t::2]))
+
+
+def test_root_key_split_aborts():
+    # 5e-7 apart, on either side of a rounding boundary: two keys, one root
+    near = [[2.0000004, 1.0], [2.0000009, 1.0]]
+    with pytest.raises(ToleranceError, match="split"):
+        infinite.RootColumns(2).add(near)
+    columns = infinite.RootColumns(2)
+    assert columns.add(near[:1]).tolist() == [2]
+    with pytest.raises(ToleranceError, match="split"):
+        columns.add(near[1:])
+    assert len(columns) == 3  # the refused root took no column
+    assert columns.add([[0.0, 1.0], near[0], [1.0, 0.0]]).tolist() == [1, 2, 0]
+    # a far root whose projection falls between the two: still caught
+    d = columns._direction
+    between = [near[0][0] + 1.0, 1.0 - d[0] * (1.0 - 2.5e-7) / d[1]]
+    with pytest.raises(ToleranceError, match="split"):
+        infinite.RootColumns(2).add([near[0], between, near[1]])
+
+
+def test_root_key_collision_aborts(monkeypatch):
+    # every key hit now counts as two roots on one key
+    ball = enumerate_ball(InfiniteCoxeterGroup(AFFINE_A2), 4)
+    ball.n_set(ball.involutions()[0])
+    monkeypatch.setattr(infinite, "ROOT_COLLISION_TOL", -1.0)
+    with pytest.raises(ToleranceError, match="collision"):
+        ball.graph
 
 
 def test_key_collision_aborts(monkeypatch):
