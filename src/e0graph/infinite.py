@@ -11,14 +11,18 @@ inverses.  Right multiplication by a generator s is the rank-one update
 M - 2 M[:, s-1] <a_s, .>, O(n^2) per element, and the inverse changes in
 row s-1 only.  Single elements step with the same formula, so a matrix
 reached along the same word is bit-identical on both paths.  w is an
-involution when its key equals the key of w^-1; comparing keys keeps the
-test on the rounding grid, where an absolute bound on M^2 - 1 fails once
-the entries grow large.  N-sets are read off the reduced word, so
-adjacency between ball members is exact, not an artifact of the truncation
-radius.  Two involutions are adjacent when l(xy) = l(x) + l(y), that is
-when N(x) and N(y) are disjoint (Bjorner-Brenti, GTM 231, ch. 4), so a ball
-needs only the roots that occur in its members' N-sets: `RootColumns` keys
-those root vectors directly, and no root system is closed for a ball.  The
+involution when its rounded matrix equals that of w^-1; comparing on the
+rounding grid keeps the test sound where an absolute bound on M^2 - 1 fails
+once the entries grow large.  A layer stays arrays: matrices, and for each
+member the position of its parent and the generator that extends it.  A
+`Ball` builds words by walking parent positions, and `MatrixElement`s only
+for its involutions up front; every other member gets one on first access
+to `Ball.elements`.  N-sets are read off the reduced word, so adjacency
+between ball members is exact, not an artifact of the truncation radius.
+Two involutions are adjacent when l(xy) = l(x) + l(y), that is when N(x)
+and N(y) are disjoint (Bjorner-Brenti, GTM 231, ch. 4), so a ball needs
+only the roots that occur in its members' N-sets: `RootColumns` keys those
+root vectors directly, and no root system is closed for a ball.  The
 adjacency of a ball's involutions is the packed matrix of a finite group's
 graph, `Ball.graph`, and every pair scan of the evidence reports reads it a
 whole block of pairs at a time.
@@ -30,6 +34,7 @@ import json
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, count
 
 import numpy as np
 
@@ -98,7 +103,7 @@ class MatrixElement:
         return bool(self.word) and self.inverse().key == self.key
 
     def n_set_vectors(self):
-        return self.group.n_set_vectors(self.word)
+        return self.group.n_set_vectors([self.word])
 
     def sort_key(self):
         return (len(self.word), self.word)
@@ -181,25 +186,37 @@ class InfiniteCoxeterGroup(GeometricGroup):
     def generator(self, i):
         return MatrixElement(self, self._word_mat((i,)), (i,))
 
-    def n_set_vectors(self, word):
-        """N(w) for a reduced word, as root coefficient vectors.
+    def n_set_vectors(self, words):
+        """N(w) of each reduced word w, as root coefficient vectors: the rows
+        of one array, word after word.
 
         For w = s_1 ... s_k these are a_{s_k}, s_k . a_{s_{k-1}}, ...,
-        s_k ... s_2 . a_{s_1}.
+        s_k ... s_2 . a_{s_1}.  Each letter position steps the matrices of
+        all the words that long at once, entry for entry as
+        `_carrier_mul_gen` does.
         """
-        out = []
-        M = self.identity_mat
-        for s in reversed(word):
-            if not self._carrier_sends_simple_positive(M, s):
+        lengths = np.fromiter(map(len, words), np.intp, len(words))
+        starts = np.cumsum(lengths) - lengths
+        letters = np.fromiter(
+            chain.from_iterable(w[::-1] for w in words), np.intp, lengths.sum()
+        ) - 1
+        out = np.empty((len(letters), self.rank))
+        mats = np.repeat(self.identity_mat[None], len(words), axis=0)
+        for t in range(lengths.max(initial=0)):
+            a = np.flatnonzero(lengths > t)
+            rows = starts[a] + t
+            s = letters[rows]
+            col = mats[a, :, s]
+            if (col < -SIGN_EPS).any():
                 raise ToleranceError("reduced word produced a negative N-set root")
-            out.append(M[:, s - 1])
-            M = self._carrier_mul_gen(M, s)
+            out[rows] = col
+            mats[a] -= col[:, :, None] * self._form2[s][:, None, :]
         return out
 
     def descent_sets(self, w):
         """(left, right) descent sets; for involutions the two coincide."""
         return (
-            _negative_columns(w.inverse().mat, self.generators),
+            _negative_columns(self._word_mat(w.word[::-1]), self.generators),
             _negative_columns(w.mat, self.generators),
         )
 
@@ -248,8 +265,9 @@ class RootColumns:
     def __init__(self, rank):
         self.index = {}  # key -> column
         self.vectors = np.empty((0, rank))  # row c: the vector of column c
-        # a fixed positive direction in general position for the split test
-        self._direction = np.random.default_rng(0).uniform(1.0, 2.0, rank)
+        # a fixed positive direction in general position for the split test:
+        # 1 + frac(k * golden ratio), k = 1..rank
+        self._direction = 1.0 + np.modf(np.arange(1, rank + 1) * (1 + 5 ** 0.5) / 2)[0]
         self._lock = threading.Lock()
         self.add(np.eye(rank))
 
@@ -298,14 +316,61 @@ class RootColumns:
 
 
 class Ball:
-    """All elements of length <= radius, with exact N-set adjacency."""
+    """All elements of length <= radius, with exact N-set adjacency.
 
-    def __init__(self, group, radius, elements, involutions):
+    The members are held as arrays in (length, word) order: `mats` stacks
+    their matrices, and member p is member `_parent[p]` times generator
+    `_gen[p]` (the identity, at position 0, has neither).  `index` maps
+    each member's key to its position.  Words are read by walking parent
+    positions; the involutions get theirs and their `MatrixElement`s on
+    construction, and `elements` and `by_key` are built on first use.
+    """
+
+    def __init__(self, group, radius, index, layers):
+        """`index`: key -> position; `layers`: per BFS layer, the arrays
+        (matrices, parent positions, generators, involution mask)."""
         self.group = group
         self.radius = radius
-        self.elements = elements  # in (length, word) order
-        self.by_key = {e.key: e for e in elements}
-        self._involutions = involutions
+        self.index = index
+        self.mats, self._parent, self._gen, inv = map(np.concatenate, zip(*layers))
+        self.mats.flags.writeable = False
+        self._starts = np.cumsum([0] + [len(layer[0]) for layer in layers])
+        self._involutions = self._members(np.flatnonzero(inv))
+
+    def _words(self, pos):
+        """The words of the members at the ascending positions `pos`, one
+        length at a time, walking parent positions back to the identity."""
+        words = []
+        cuts = np.searchsorted(pos, self._starts).tolist()
+        for length, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            p, letters = pos[lo:hi], []
+            for _ in range(length):
+                letters.append(self._gen[p])
+                p = self._parent[p]
+            words += map(tuple, np.reshape(letters[::-1], (length, hi - lo)).T.tolist())
+        return words
+
+    def _members(self, pos):
+        """`MatrixElement`s of the members at the ascending positions `pos`."""
+        keys = list(self.index)
+        return [
+            MatrixElement(self.group, self.mats[p], w, keys[p])
+            for p, w in zip(pos.tolist(), self._words(pos))
+        ]
+
+    @cached_property
+    def elements(self):
+        """Every member in (length, word) order, built on first use; the
+        involutions are the objects of `involutions()`."""
+        out = self._members(np.arange(len(self)))
+        for z in self._involutions:
+            out[self.index[z.key]] = z
+        return out
+
+    @cached_property
+    def by_key(self):
+        """key -> member of `elements`, built on first use."""
+        return {e.key: e for e in self.elements}
 
     @cached_property
     def _columns(self):
@@ -321,17 +386,17 @@ class Ball:
         involutions' N-set roots all join in one call, so the words stay
         narrow."""
         invs = self._involutions
-        cols = self._columns.add([r for z in invs for r in z.n_set_vectors()])
+        cols = self._columns.add(self.group.n_set_vectors([z.word for z in invs]))
         member = np.zeros((len(invs), len(self._columns)), dtype=bool)
         member[np.repeat(np.arange(len(invs)), [z.length for z in invs]), cols] = True
         rows = _pairwise_disjoint_rows(pack_words(member))
         return E0Graph(self.group, InvolutionSet(self.group, invs), rows, self.radius)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.index)
 
     def __contains__(self, elem):
-        return elem.key in self.by_key
+        return elem.key in self.index
 
     def involutions(self):
         """Members w != 1 with w = w^-1, in (length, word) order."""
@@ -366,56 +431,51 @@ def enumerate_ball(group, radius):
     that lengthens it, in (frontier element, generator) order.  The first
     candidate on a key wins, so every stored word is the shortlex-least
     reduced word and the elements come out in (length, word) order.  A key
-    hit on a matrix that differs by more than MATRIX_COLLISION_TOL aborts.
+    hit on a matrix that differs by more than MATRIX_COLLISION_TOL aborts;
+    only real hits are compared, never a candidate with itself.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     form2 = group._form2
     mats = invs = group.identity_mat[None]
-    words = [()]
-    keys = _mat_keys(mats)
-    registry = {keys[0]: 0}  # key -> index in the ball
-    layers = [(mats, words, keys, [False])]
+    registry = dict.fromkeys(_mat_keys(mats), 0)  # key -> position in the ball
+    zero = np.zeros(1, dtype=np.intp)
+    layers = [(mats, zero, zero, np.zeros(1, dtype=bool))]
     for _ in range(radius):
         f, g = np.nonzero((mats >= -SIGN_EPS).all(axis=1))  # l(ws) > l(w)
         if not len(f):
             break
         cand = mats[f] - mats[f, :, g][:, :, None] * form2[g][:, None, :]
-        cand_keys = _mat_keys(cand)
-        base = len(registry)
-        keep, hit_c, hit_j = [], [], []
-        for c, k in enumerate(cand_keys):
-            j = registry.setdefault(k, base + len(keep))
-            if j == base + len(keep):
-                keep.append(c)
-            else:
-                hit_c.append(c)
-                hit_j.append(j)
-        new = cand[keep]
-        if hit_c:
-            if min(hit_j) < base:  # an earlier layer: only float error gets here
-                prev = np.concatenate([lay[0] for lay in layers] + [new])[hit_j]
-            else:
-                prev = new[np.array(hit_j) - base]
-            if np.abs(cand[hit_c] - prev).max() > MATRIX_COLLISION_TOL:
+        keys = _mat_keys(cand)
+        n = len(keys)
+        first = dict(zip(reversed(keys), range(n - 1, -1, -1)))  # key -> first candidate
+        hits, prev = [], []  # the candidates on a key already held, and its matrix
+        if len(first) < n:  # a key reached twice in this layer
+            j = np.fromiter(map(first.__getitem__, keys), np.intp, n)
+            hits.append(np.flatnonzero(j != np.arange(n)))
+            prev.append(cand[j[hits[-1]]])
+        if not registry.keys().isdisjoint(first):  # an earlier layer: only float error
+            hits.append(np.array([c for c, k in enumerate(keys) if k in registry]))
+            held = np.concatenate([layer[0] for layer in layers])
+            prev.append(held[[registry[keys[c]] for c in hits[-1].tolist()]])
+            for k in registry.keys() & first.keys():
+                del first[k]
+        if hits:
+            gap = np.abs(cand[np.concatenate(hits)] - np.concatenate(prev)).max()
+            if gap > MATRIX_COLLISION_TOL:
                 raise ToleranceError("matrix key collision between distinct elements")
+        keep = np.sort(np.fromiter(first.values(), np.intp, len(first)))
+        base = len(registry)
+        registry.update(zip(map(keys.__getitem__, keep.tolist()), count(base)))
         f, g = f[keep], g[keep]
+        mats = cand[keep]
         invs = invs[f]
-        rows = np.arange(len(keep))
-        invs[rows, g] -= np.einsum("mk,mkj->mj", form2[g], invs)
-        words = [words[a] + (b + 1,) for a, b in zip(f.tolist(), g.tolist())]
-        keys = [cand_keys[c] for c in keep]
-        is_inv = [a == b for a, b in zip(keys, _mat_keys(invs))]
-        new.flags.writeable = False
-        mats = new
-        layers.append((mats, words, keys, is_inv))
-    elements, involutions = [], []
-    for layer in layers:
-        for m, w, k, inv in zip(*layer):
-            elements.append(MatrixElement(group, m, w, k))
-            if inv:
-                involutions.append(elements[-1])
-    return Ball(group, radius, elements, involutions)
+        invs[np.arange(len(keep)), g] -= np.einsum("mk,mkj->mj", form2[g], invs)
+        is_inv = (
+            np.round(mats, MATRIX_KEY_DECIMALS) == np.round(invs, MATRIX_KEY_DECIMALS)
+        ).all(axis=(1, 2))
+        layers.append((mats, f + (base - len(layers[-1][0])), g + 1, is_inv))
+    return Ball(group, radius, registry, layers)
 
 
 def universal_neighborhood(x, ball):

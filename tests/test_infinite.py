@@ -1,8 +1,11 @@
 """Ball exploration of infinite groups and the diameter evidence."""
 
 import hashlib
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +149,73 @@ def test_large_entry_involutions_are_kept():
         assert group.element_from_word(w).is_involution()
 
 
+# SHA-256 of the (3,3,7) radius-20 ball, taken while each layer's members
+# were built as MatrixElements: repr of ([(word, key) ...], [involution
+# word ...]), and the bytes of the members' stacked matrices
+BALL_337_R20_SHA256 = "8cef504b304657cf1583f71881ccd74f29bf00ff339fc06e782c0f1169f2a9a4"
+BALL_337_R20_MATS_SHA256 = "cab918d810f9f37bb662c9ce707f43b1f66fa5e60d9fefa02f436a964b9cbfee"
+
+
+def test_radius_20_ball_is_pinned():
+    # entries reach 2.2e4, where float keys are most stressed
+    ball = enumerate_ball(InfiniteCoxeterGroup(H337), 20)
+    text = repr(([(e.word, e.key) for e in ball.elements],
+                 [z.word for z in ball.involutions()]))
+    assert hashlib.sha256(text.encode()).hexdigest() == BALL_337_R20_SHA256
+    mats = np.stack([e.mat for e in ball.elements])
+    assert hashlib.sha256(mats.tobytes()).hexdigest() == BALL_337_R20_MATS_SHA256
+    assert np.array_equal(mats, ball.mats)
+
+
+def test_members_are_built_on_demand(monkeypatch):
+    built = []
+    real = infinite.MatrixElement.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    group = InfiniteCoxeterGroup(H337)
+    ref_words, _ = reference_ball(group, 12)
+    outside = group.element_from_word((1, 2, 3) * 5)
+    assert outside.length == 15
+    monkeypatch.setattr(infinite.MatrixElement, "__init__", counted)
+    ball = enumerate_ball(group, 12)
+    invs = ball.involutions()
+    assert len(built) == len(invs)
+    assert len(ball) == len(ref_words)
+    assert invs[5] in ball and outside not in ball
+    assert ball.graph.edge_count()
+    assert ball_graph_diameter_evidence(group, 12).ok
+    # the evidence ball's involutions and the two parabolic witnesses
+    assert len(built) == 2 * len(invs) + 2
+    assert [e.word for e in ball.elements] == ref_words
+    assert all(ball.by_key[e.key] is e for e in ball.elements)
+    assert all(ball.elements[ball.index[z.key]] is z for z in invs)
+
+
+def test_batched_n_sets_match_single_words():
+    group = InfiniteCoxeterGroup(H337)
+    words = [z.word for z in enumerate_ball(group, 9).involutions()]
+    batch = group.n_set_vectors(words)
+    single = np.concatenate([group.n_set_vectors([w]) for w in words])
+    assert np.array_equal(batch, single)  # bit for bit
+    assert len(batch) == sum(map(len, words))
+    assert group.n_set_vectors([()]).shape == (0, 3)
+    with pytest.raises(ToleranceError, match="negative"):
+        group.n_set_vectors([(1, 2, 1), (1, 2, 2)])
+
+
+def test_root_columns_leave_numpy_random_unimported():
+    script = ("import sys; from e0graph.infinite import InfiniteCoxeterGroup, "
+              "enumerate_ball; enumerate_ball(InfiniteCoxeterGroup.from_spec('U3'), 4)"
+              ".graph; print('numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(infinite.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "False"
+
+
 def test_ball_matrices_match_single_element_path():
     group = InfiniteCoxeterGroup(H337)
     ball = enumerate_ball(group, 10)
@@ -269,6 +339,13 @@ def test_key_collision_aborts(monkeypatch):
     monkeypatch.setattr(infinite, "_mat_keys", lambda mats: [b""] * len(mats))
     with pytest.raises(ToleranceError, match="collision"):
         enumerate_ball(u(3), 1)
+
+
+def test_collision_check_compares_only_key_hits(monkeypatch):
+    # U3 has no braid relations, so no two candidates share a key and a
+    # negative tolerance has nothing to compare
+    monkeypatch.setattr(infinite, "MATRIX_COLLISION_TOL", -1.0)
+    assert len(enumerate_ball(u(3), 6)) == 1 + 3 * (2 ** 6 - 1)
 
 
 def test_infinite_dihedral_ball_counts():
