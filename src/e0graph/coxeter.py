@@ -8,6 +8,12 @@ elements are stored as permutations of the root indices, packed into `bytes`
 so that composition is a single `bytes.translate` call.  Infinite groups are
 handled in :mod:`e0graph.infinite` via the matrix representation.
 
+Two rules decide the rest on both carriers.  A root is negative when its
+coefficient sum is (`negative`, with a margin of 1), so s is a descent of w
+when w . a_s has a negative sum.  An element's word is its lexicographically
+least reduced word, read by peeling its smallest left descent: finite
+elements and ball members store it, and `reduce_word` returns it.
+
 Generator indices are 1-based everywhere in the public interface, matching
 the usual Dynkin-diagram numbering (see README for the conventions used for
 the B/F/H diagrams).
@@ -26,7 +32,7 @@ import numpy as np
 INFINITE_BOND = 0  # encodes m_ij = infinity in Coxeter matrices (also in JSON files)
 
 ROOT_KEY_DECIMALS = 6  # roots are deduplicated on coordinates rounded to 1e-6
-SIGN_EPS = 1e-9        # tolerance for the positive/negative root test
+SIGN_EPS = 1e-9        # closure only: how far a root's entries may stray past 0
 CLOSURE_BLOCK = 4096   # frontier roots reflected at once by the root closure
 
 
@@ -291,8 +297,19 @@ def float_keys(a, decimals):
     return r.view(np.dtype((np.void, r.itemsize * r.shape[1]))).ravel().tolist()
 
 
-def vec_positive(v):
-    return all(c >= -SIGN_EPS for c in v)
+def negative(roots, axis=-1):
+    """Which roots (coefficient vectors along `axis`) are negative: those
+    whose coefficient sum is below zero.
+
+    The sum has a margin of 1.  The coefficients c_i of a root beta share
+    one sign, and every entry of `bilinear_form` has |B_ij| <= 1, so
+    1 = B(beta, beta) <= sum c_i c_j |B_ij| <= (sum c_i)^2.  Rounding noise
+    cannot flip that sign, where a test of each entry against 0 has no
+    margin on a zero coefficient.  Every sign decision on a root goes
+    through here, the columns of element matrices included; only the root
+    closure tests entries, to check that a vector is a root at all.
+    """
+    return np.asarray(roots).sum(axis) < 0
 
 
 class RootSystem:
@@ -328,7 +345,7 @@ class RootSystem:
     def indices_of(self, vectors):
         """Signed index of each root vector (the rows), or None for a non-root."""
         v = np.asarray(vectors, dtype=float).reshape(-1, self.rank)
-        positive = (v >= -SIGN_EPS).all(axis=1)
+        positive = ~negative(v)
         keys = float_keys(np.where(positive[:, None], v, -v), ROOT_KEY_DECIMALS)
         P = self.pos_count
         out = []
@@ -384,7 +401,9 @@ def generate_root_system(matrix, max_depth=None, max_roots=2_000_000):
         new = []
         for lo in range(0, len(frontier), CLOSURE_BLOCK):
             cand = _reflect_all(form, frontier[lo : lo + CLOSURE_BLOCK]).reshape(-1, n)
-            cand = cand[~(cand <= SIGN_EPS).all(axis=1)]  # only r_i . a_i turns negative
+            # only r_i . a_i turns negative; entry by entry, so that a vector
+            # of mixed signs, which is no root, raises rather than being dropped
+            cand = cand[~(cand <= SIGN_EPS).all(axis=1)]
             mixed = ~(cand >= -SIGN_EPS).all(axis=1)
             if mixed.any():
                 w = tuple(cand[mixed.argmax()].tolist())
@@ -461,7 +480,11 @@ def descending(j, i):
 # ---------------------------------------------------------------------------
 
 class GeometricGroup:
-    """Base for groups acting through the reflection representation."""
+    """Base for groups acting through the reflection representation.
+
+    Each subclass's `reduce_word` returns the lexicographically least
+    reduced word of a word's element.
+    """
 
     def __init__(self, matrix, spec=None):
         self.matrix = matrix
@@ -481,59 +504,9 @@ class GeometricGroup:
             if not 1 <= s <= self.rank:
                 raise ValueError(f"generator index {s} out of range 1..{self.rank}")
 
-    # subclasses supply an exact "carrier" for prefix elements:
-    # identity, right multiplication by a generator, and the sign of
-    # carrier . alpha_s.
-    def _carrier_identity(self):
-        raise NotImplementedError
-
-    def _carrier_mul_gen(self, carrier, s):
-        raise NotImplementedError
-
-    def _carrier_sends_simple_positive(self, carrier, s):
-        raise NotImplementedError
-
     def is_reduced(self, word):
         """True iff the word's length equals the length of its element."""
-        self._check_letters(word)
-        cur = self._carrier_identity()
-        for s in word:
-            if not self._carrier_sends_simple_positive(cur, s):
-                return False
-            cur = self._carrier_mul_gen(cur, s)
-        return True
-
-    def reduce_word(self, word):
-        """A reduced word for the same element, by repeated deletion.
-
-        Scans for the leftmost position j at which the prefix stops being
-        reduced, locates the matching exchange index i < j, deletes both
-        letters, and repeats.  Deterministic; idempotent on reduced words.
-        """
-        self._check_letters(word)
-        letters = list(word)
-        while True:
-            cur = self._carrier_identity()
-            bad = None
-            for j, s in enumerate(letters):
-                if not self._carrier_sends_simple_positive(cur, s):
-                    bad = j
-                    break
-                cur = self._carrier_mul_gen(cur, s)
-            if bad is None:
-                return tuple(letters)
-            beta = tuple(1.0 if k == letters[bad] - 1 else 0.0 for k in range(self.rank))
-            hit = None
-            for t in range(bad - 1, -1, -1):
-                nb = reflect(self.form, letters[t], beta)
-                if not vec_positive(nb):
-                    hit = t
-                    break
-                beta = nb
-            if hit is None:
-                raise ToleranceError("exchange index not found for non-reduced word")
-            del letters[bad]
-            del letters[hit]
+        return len(self.reduce_word(word)) == len(word)
 
 
 # ---------------------------------------------------------------------------
@@ -727,16 +700,10 @@ class CoxeterGroup(GeometricGroup):
             acc = self.gen_perm[s].translate(acc + self._pad)
         return acc
 
-    # -- carriers for the shared word machinery -------------------------------
-
-    def _carrier_identity(self):
-        return self.identity_perm
-
-    def _carrier_mul_gen(self, carrier, s):
-        return self.gen_perm[s].translate(carrier + self._pad)
-
-    def _carrier_sends_simple_positive(self, carrier, s):
-        return carrier[s - 1] < self.pos_count
+    def reduce_word(self, word):
+        """The lexicographically least reduced word of the word's element."""
+        self._check_letters(word)
+        return self._lexmin_word(self._word_perm(word))
 
     # -- public element operations --------------------------------------------
 

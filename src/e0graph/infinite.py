@@ -1,9 +1,13 @@
 """Bounded-ball exploration of infinite Coxeter groups.
 
-Elements are stored as (matrix of the reflection representation, reduced
-word); matrices are the canonical form (words are not unique across braid
-moves) and are deduplicated on entries rounded to 1e-6, with a hard failure
-if two matrices land on one key while differing by more than 1e-5.
+Elements are stored as (matrix of the reflection representation, lexmin
+word).  The lexmin word is the lexicographically least reduced word:
+`reduce_word` peels it off the matrix of w^-1 one smallest left descent at a
+time, and a ball's BFS, which keeps the first candidate on each key, stores
+the same word.  A column is negative by `coxeter.negative`, the sign of its
+coefficient sum, which rounding noise cannot flip.  Matrices are
+deduplicated on entries rounded to 1e-6, with a hard failure if two
+matrices land on one key while differing by more than 1e-5.
 
 `enumerate_ball` works one BFS layer at a time in numpy: a layer is an
 (F, n, n) float64 array of matrices, carried with the array of their
@@ -41,7 +45,6 @@ import numpy as np
 from .coxeter import (
     INFINITE_BOND,
     ROOT_KEY_DECIMALS,
-    SIGN_EPS,
     CoxeterMatrix,
     GroupSpec,
     GeometricGroup,
@@ -50,6 +53,7 @@ from .coxeter import (
     float_keys,
     format_word,
     generate_root_system,
+    negative,
     pack_words,
     parse_group_spec,
 )
@@ -66,13 +70,13 @@ def _mat_keys(mats):
 
 
 def _negative_columns(mat, generators):
-    """The generators s whose column mat . a_s is not a positive root."""
-    positive = (mat >= -SIGN_EPS).all(axis=0)
-    return {s for s in generators if not positive[s - 1]}
+    """The generators s whose column mat . a_s is a negative root."""
+    neg = negative(mat, axis=0)
+    return {s for s in generators if neg[s - 1]}
 
 
 class MatrixElement:
-    """A group member of an infinite group: matrix plus a reduced word."""
+    """A group member of an infinite group: matrix plus its lexmin word."""
 
     __slots__ = ("group", "mat", "word", "key")
 
@@ -92,8 +96,7 @@ class MatrixElement:
         return self.group.element_from_word(self.word + other.word)
 
     def inverse(self):
-        rw = tuple(reversed(self.word))  # reversal of a reduced word is reduced
-        return MatrixElement(self.group, self.group._word_mat(rw), rw)
+        return self.group.element_from_word(self.word[::-1])
 
     def is_identity(self):
         return not self.word
@@ -152,24 +155,37 @@ class InfiniteCoxeterGroup(GeometricGroup):
     def longest_element(self):
         raise SpecError(f"{self.label} is infinite and has no longest element")
 
-    # -- carriers for the shared word machinery --------------------------------
+    # -- words -----------------------------------------------------------------
 
-    def _carrier_identity(self):
-        return self.identity_mat
-
-    def _carrier_mul_gen(self, carrier, s):
+    def _mul_gen(self, mat, s):
         # entry for entry the layer step of enumerate_ball
-        return carrier - carrier[:, s - 1, None] * self._form2[s - 1]
-
-    def _carrier_sends_simple_positive(self, carrier, s):
-        return carrier[:, s - 1].min() >= -SIGN_EPS
+        return mat - mat[:, s - 1, None] * self._form2[s - 1]
 
     def _word_mat(self, word):
         mat = self.identity_mat
         for s in word:
-            mat = self._carrier_mul_gen(mat, s)
+            mat = self._mul_gen(mat, s)
         mat.flags.writeable = False
         return mat
+
+    def reduce_word(self, word):
+        """The lexicographically least reduced word of the word's element.
+
+        The left descents of w are the negative columns of the matrix of
+        w^-1.  Each step peels the smallest one, s, and steps that matrix
+        by s, until no column is negative.  A peel longer than the word, or
+        one that stops away from the identity, raises ToleranceError.
+        """
+        self._check_letters(word)
+        mat, out = self._word_mat(tuple(word)[::-1]), []
+        while (descents := np.flatnonzero(negative(mat, axis=0))).size:
+            if len(out) == len(word):
+                raise ToleranceError("peeling descents outgrew the word")
+            out.append(int(descents[0]) + 1)
+            mat = self._mul_gen(mat, out[-1])
+        if np.abs(mat - self.identity_mat).max() > MATRIX_COLLISION_TOL:
+            raise ToleranceError("peeling descents stopped short of the identity")
+        return tuple(out)
 
     # -- elements ---------------------------------------------------------------
 
@@ -178,9 +194,9 @@ class InfiniteCoxeterGroup(GeometricGroup):
         return MatrixElement(self, self.identity_mat, ())
 
     def element_from_word(self, word):
-        """Element with the given letters; the stored word is reduced."""
-        self._check_letters(word)
-        word = self.reduce_word(tuple(word))
+        """Element with the given letters; the stored word is its lexmin word,
+        and its matrix is stepped along that word, as in `enumerate_ball`."""
+        word = self.reduce_word(word)
         return MatrixElement(self, self._word_mat(word), word)
 
     def generator(self, i):
@@ -192,8 +208,7 @@ class InfiniteCoxeterGroup(GeometricGroup):
 
         For w = s_1 ... s_k these are a_{s_k}, s_k . a_{s_{k-1}}, ...,
         s_k ... s_2 . a_{s_1}.  Each letter position steps the matrices of
-        all the words that long at once, entry for entry as
-        `_carrier_mul_gen` does.
+        all the words that long at once, entry for entry as `_mul_gen` does.
         """
         lengths = np.fromiter(map(len, words), np.intp, len(words))
         starts = np.cumsum(lengths) - lengths
@@ -207,7 +222,7 @@ class InfiniteCoxeterGroup(GeometricGroup):
             rows = starts[a] + t
             s = letters[rows]
             col = mats[a, :, s]
-            if (col < -SIGN_EPS).any():
+            if negative(col).any():
                 raise ToleranceError("reduced word produced a negative N-set root")
             out[rows] = col
             mats[a] -= col[:, :, None] * self._form2[s][:, None, :]
@@ -237,15 +252,13 @@ class InfiniteCoxeterGroup(GeometricGroup):
         mat = self.identity_mat
         word = []
         while True:
-            s = next(
-                (t for t in J if self._carrier_sends_simple_positive(mat, t)), None
-            )
+            s = next((t for t in J if not negative(mat[:, t - 1])), None)
             if s is None:
                 break
             word.append(s)
             if len(word) > bound:
                 raise ToleranceError("parabolic ascent exceeded its root count")
-            mat = self._carrier_mul_gen(mat, s)
+            mat = self._mul_gen(mat, s)
         mat.flags.writeable = False
         return MatrixElement(self, mat, tuple(word))
 
@@ -430,9 +443,10 @@ def enumerate_ball(group, radius):
     A layer steps every frontier matrix, and its inverse, by each generator
     that lengthens it, in (frontier element, generator) order.  The first
     candidate on a key wins, so every stored word is the shortlex-least
-    reduced word and the elements come out in (length, word) order.  A key
-    hit on a matrix that differs by more than MATRIX_COLLISION_TOL aborts;
-    only real hits are compared, never a candidate with itself.
+    reduced word, the lexmin word of `reduce_word`, and the elements come
+    out in (length, word) order.  A key hit on a matrix that differs by
+    more than MATRIX_COLLISION_TOL aborts; only real hits are compared,
+    never a candidate with itself.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -442,7 +456,7 @@ def enumerate_ball(group, radius):
     zero = np.zeros(1, dtype=np.intp)
     layers = [(mats, zero, zero, np.zeros(1, dtype=bool))]
     for _ in range(radius):
-        f, g = np.nonzero((mats >= -SIGN_EPS).all(axis=1))  # l(ws) > l(w)
+        f, g = np.nonzero(~negative(mats, axis=1))  # l(ws) > l(w)
         if not len(f):
             break
         cand = mats[f] - mats[f, :, g][:, :, None] * form2[g][:, None, :]
@@ -722,12 +736,15 @@ def product_diameter_check(specs, radius, extra=2):
     invs = big.involutions()
     factor_graphs = [enumerate_ball(f, radius + extra).graph for f in factors]
     # coords[v, k]: the vertex of factor graph k that is the k-th coordinate
-    # of involution v, or -1 where that coordinate is the identity
+    # of involution v, or -1 where that coordinate is the identity.  The
+    # lexmin word of a product member projects onto the lexmin word of each
+    # coordinate, so a coordinate is looked up by its word.
     coords = np.full((len(invs), len(factors)), -1)
-    for k, (f, fg) in enumerate(zip(factors, factor_graphs)):
+    for k, fg in enumerate(factor_graphs):
+        vertex = {z.word: i for i, z in enumerate(fg.vertices)}
         for v, z in enumerate(invs):
             if word := project(z.word, k):
-                coords[v, k] = fg.vertices.index_of(f.element_from_word(word))
+                coords[v, k] = vertex[word]
 
     a, far, near = _pair_scan(big, radius)
     n = len(a)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from e0graph import coxeter
@@ -14,6 +15,7 @@ from e0graph.coxeter import (
     descending,
     format_word,
     generate_root_system,
+    negative,
     parse_group_spec,
     parse_word,
     reflect,
@@ -158,6 +160,23 @@ def test_infinite_closure_needs_depth():
     rs = generate_root_system(m, max_depth=5)
     assert not rs.complete
     assert rs.pos_count == 12  # two simple roots plus two new per depth step
+
+
+@pytest.mark.parametrize("matrix,depth", [
+    *((parse_group_spec(label).coxeter_matrix(), None) for label in
+      ["A7", "B6", "D7", "F4", "H3", "H4", "E6", "E7", "E8", "I2(7)", "B2xB2xB2xB2xB2"]),
+    (CoxeterMatrix([[1, 3, 7], [3, 1, 3], [7, 3, 1]]), 20),
+    (CoxeterMatrix([[1, 3, 3], [3, 1, 3], [3, 3, 1]]), 30),
+    (parse_group_spec("U3").coxeter_matrix(), 10),
+], ids=["A7", "B6", "D7", "F4", "H3", "H4", "E6", "E7", "E8", "I2(7)", "B2^5",
+        "337", "A2~", "U3"])
+def test_root_coefficient_sums_have_a_margin_of_one(matrix, depth):
+    # 1 = B(beta, beta) <= (sum of coefficients)^2 for every root beta
+    roots = np.array(generate_root_system(matrix, max_depth=depth).pos_roots)
+    assert roots.sum(axis=1).min() >= 1.0
+    assert not negative(roots).any()
+    for v in (roots, -roots):  # the sum rule agrees with the entry rule
+        assert np.array_equal(negative(v), ~(v >= -coxeter.SIGN_EPS).all(axis=1))
 
 
 def reference_closure(matrix, max_depth):

@@ -149,6 +149,43 @@ def test_large_entry_involutions_are_kept():
         assert group.element_from_word(w).is_involution()
 
 
+def test_peeling_lexmin_words_needs_the_sum_rule():
+    # entries reach 2.2e4, and the rounding noise on zero coefficients
+    # passes 1e-9; testing each entry against -1e-9 misreads descents of
+    # 2 of the 219 involutions of length <= 18 and of 51 of all 347
+    group = InfiniteCoxeterGroup(H337)
+    invs = enumerate_ball(group, 20).involutions()
+    assert sum(z.length <= 18 for z in invs) == 219 and len(invs) == 347
+    for z in invs:
+        assert group.reduce_word(z.word[::-1]) == z.word
+
+
+@pytest.mark.parametrize("group,radius", [
+    (InfiniteCoxeterGroup(H337), 10),
+    (InfiniteCoxeterGroup(AFFINE_A2), 15),
+], ids=["337", "A2~"])
+def test_one_canonical_word_across_constructors(group, radius):
+    ball = enumerate_ball(group, radius)
+    for e in ball.elements:
+        assert group.element_from_word(e.word).word == e.word
+        inv = e.inverse()
+        assert inv.word == ball.by_key[inv.key].word
+
+
+def test_peel_guards(monkeypatch):
+    group = InfiniteCoxeterGroup(H337)
+
+    def rule(value):
+        return lambda roots, axis=-1: np.full(np.sum(roots, axis).shape, value)
+
+    monkeypatch.setattr(infinite, "negative", rule(True))  # a descent forever
+    with pytest.raises(ToleranceError, match="outgrew the word"):
+        group.reduce_word((1, 2))
+    monkeypatch.setattr(infinite, "negative", rule(False))  # never a descent
+    with pytest.raises(ToleranceError, match="short of the identity"):
+        group.reduce_word((1, 2))
+
+
 # SHA-256 of the (3,3,7) radius-20 ball, taken while each layer's members
 # were built as MatrixElements: repr of ([(word, key) ...], [involution
 # word ...]), and the bytes of the members' stacked matrices

@@ -36,7 +36,8 @@ def test_reduce_word_properties(lw):
     assert g.element_from_word(reduced) == g.element_from_word(word)
     assert g.reduce_word(reduced) == reduced
     assert len(reduced) == g.element_from_word(word).length
-    assert len(reduced) % 2 == len(word) % 2  # deletion removes pairs
+    assert len(reduced) % 2 == len(word) % 2  # the sign character (-1)^l
+    assert reduced == g.element_from_word(word).word  # the lexmin word
 
 
 @given(labelled_words())
