@@ -121,7 +121,7 @@ def cmd_export(args):
     if isinstance(group, inf.InfiniteCoxeterGroup):
         if args.radius is None:
             raise SpecError(f"{group.label} is infinite; supply --radius")
-        g = inf.enumerate_ball(group, args.radius).graph
+        g = inf.involution_graph(group, args.radius)
     else:
         g = gr.build_graph(group)
     _export_graph(g, args.format, args.out)

@@ -3,33 +3,41 @@
 Elements are stored as (matrix of the reflection representation, lexmin
 word).  The lexmin word is the lexicographically least reduced word:
 `reduce_word` peels it off the matrix of w^-1 one smallest left descent at a
-time, and a ball's BFS, which keeps the first candidate on each key, stores
-the same word.  A column is negative by `coxeter.negative`, the sign of its
+time.  A column is negative by `coxeter.negative`, the sign of its
 coefficient sum, which rounding noise cannot flip.  Matrices are
 deduplicated on entries rounded to 1e-6, with a hard failure if two
-matrices land on one key while differing by more than 1e-5.
+matrices land on one key while differing by more than 1e-5.  Right
+multiplication by a generator s is the rank-one update
+M - 2 M[:, s-1] <a_s, .>, O(n^2) per element, on single matrices and on
+stacks alike, so a matrix stepped along the same word is bit-identical on
+every path.
 
-`enumerate_ball` works one BFS layer at a time in numpy: a layer is an
-(F, n, n) float64 array of matrices, carried with the array of their
-inverses.  Right multiplication by a generator s is the rank-one update
-M - 2 M[:, s-1] <a_s, .>, O(n^2) per element, and the inverse changes in
-row s-1 only.  Single elements step with the same formula, so a matrix
-reached along the same word is bit-identical on both paths.  w is an
-involution when its rounded matrix equals that of w^-1; comparing on the
-rounding grid keeps the test sound where an absolute bound on M^2 - 1 fails
-once the entries grow large.  A layer stays arrays: matrices, and for each
-member the position of its parent and the generator that extends it.  A
-`Ball` builds words by walking parent positions, and `MatrixElement`s only
-for its involutions up front; every other member gets one on first access
-to `Ball.elements`.  N-sets are read off the reduced word, so adjacency
-between ball members is exact, not an artifact of the truncation radius.
+Two producers work one length layer at a time on (F, n, n) float64 stacks.
+
+* `walk_involutions` produces the vertex set: the involutions of length
+  <= R and nothing else.  It is the ascending twisted-involution walk of
+  the finite groups (Richardson-Springer 1990; Hultman 2005) cut at length
+  R: from an involution x and an ascent s, the next involution is xs when
+  x . a_s = a_s, and sxs otherwise.  Each layer's lexmin words are peeled
+  off its own matrices (w^-1 = w for an involution), and each involution's
+  matrix is then rebuilt along its word, so its key is that of
+  `element_from_word`.  The (3,3,7) radius-20 ball holds 70,690 elements,
+  of which the walk visits only the 347 involutions.
+* `enumerate_ball` produces every element of length <= R, for element
+  counts: a BFS that steps each member by each of its ascents, keeps the
+  first candidate on each key, and so stores the lexmin word.  A layer
+  stays arrays: the matrices, and for each member the position of its
+  parent and the generator that extends it.  A `Ball` builds words by
+  walking parent positions, and `MatrixElement`s only on first access to
+  `Ball.elements`; its involutions and graph come from the walk.
+
 Two involutions are adjacent when l(xy) = l(x) + l(y), that is when N(x)
-and N(y) are disjoint (Bjorner-Brenti, GTM 231, ch. 4), so a ball needs
-only the roots that occur in its members' N-sets: `RootColumns` keys those
-root vectors directly, and no root system is closed for a ball.  The
-adjacency of a ball's involutions is the packed matrix of a finite group's
-graph, `Ball.graph`, and every pair scan of the evidence reports reads it a
-whole block of pairs at a time.
+and N(y) are disjoint (Bjorner-Brenti, GTM 231, ch. 4), so a graph needs
+only the roots that occur in its vertices' N-sets: `RootColumns` keys those
+root vectors directly, and no root system is closed.  `involution_graph`
+is the packed matrix of a finite group's graph on the walk's involutions,
+and every pair scan of the evidence reports reads it a whole block of pairs
+at a time; no evidence report enumerates a ball.
 """
 
 from __future__ import annotations
@@ -67,12 +75,6 @@ ROOT_COLLISION_TOL = 1e-5
 def _mat_keys(mats):
     """Keys of a stack of matrices; the one key of a group element."""
     return float_keys(mats, MATRIX_KEY_DECIMALS)
-
-
-def _negative_columns(mat, generators):
-    """The generators s whose column mat . a_s is a negative root."""
-    neg = negative(mat, axis=0)
-    return {s for s in generators if neg[s - 1]}
 
 
 class MatrixElement:
@@ -158,8 +160,14 @@ class InfiniteCoxeterGroup(GeometricGroup):
     # -- words -----------------------------------------------------------------
 
     def _mul_gen(self, mat, s):
-        # entry for entry the layer step of enumerate_ball
+        # entry for entry the step of `_mul_gens` on a stack
         return mat - mat[:, s - 1, None] * self._form2[s - 1]
+
+    def _mul_gens(self, mats, s):
+        """Each matrix of a stack times its own generator s[i] + 1 (0-based
+        letters), entry for entry as `_mul_gen`."""
+        col = mats[np.arange(len(s)), :, s]
+        return mats - col[:, :, None] * self._form2[s][:, None, :]
 
     def _word_mat(self, word):
         mat = self.identity_mat
@@ -227,13 +235,6 @@ class InfiniteCoxeterGroup(GeometricGroup):
             out[rows] = col
             mats[a] -= col[:, :, None] * self._form2[s][:, None, :]
         return out
-
-    def descent_sets(self, w):
-        """(left, right) descent sets; for involutions the two coincide."""
-        return (
-            _negative_columns(self._word_mat(w.word[::-1]), self.generators),
-            _negative_columns(w.mat, self.generators),
-        )
 
     def parabolic_longest(self, J):
         """Longest element of W_J; requires that parabolic to be finite.
@@ -335,50 +336,37 @@ class Ball:
     their matrices, and member p is member `_parent[p]` times generator
     `_gen[p]` (the identity, at position 0, has neither).  `index` maps
     each member's key to its position.  Words are read by walking parent
-    positions; the involutions get theirs and their `MatrixElement`s on
-    construction, and `elements` and `by_key` are built on first use.
+    positions; `elements` and `by_key` are built on first use, and the
+    involutions and `graph` come from the walk at the ball's radius.
     """
 
     def __init__(self, group, radius, index, layers):
         """`index`: key -> position; `layers`: per BFS layer, the arrays
-        (matrices, parent positions, generators, involution mask)."""
+        (matrices, parent positions, generators)."""
         self.group = group
         self.radius = radius
         self.index = index
-        self.mats, self._parent, self._gen, inv = map(np.concatenate, zip(*layers))
+        self.mats, self._parent, self._gen = map(np.concatenate, zip(*layers))
         self.mats.flags.writeable = False
-        self._starts = np.cumsum([0] + [len(layer[0]) for layer in layers])
-        self._involutions = self._members(np.flatnonzero(inv))
+        self._starts = np.cumsum([0] + [len(layer[0]) for layer in layers]).tolist()
 
-    def _words(self, pos):
-        """The words of the members at the ascending positions `pos`, one
-        length at a time, walking parent positions back to the identity."""
+    def _words(self):
+        """Every member's word, one length at a time, walking parent
+        positions back to the identity."""
         words = []
-        cuts = np.searchsorted(pos, self._starts).tolist()
-        for length, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-            p, letters = pos[lo:hi], []
+        for length, (lo, hi) in enumerate(zip(self._starts, self._starts[1:])):
+            p, letters = np.arange(lo, hi), []
             for _ in range(length):
                 letters.append(self._gen[p])
                 p = self._parent[p]
             words += map(tuple, np.reshape(letters[::-1], (length, hi - lo)).T.tolist())
         return words
 
-    def _members(self, pos):
-        """`MatrixElement`s of the members at the ascending positions `pos`."""
-        keys = list(self.index)
-        return [
-            MatrixElement(self.group, self.mats[p], w, keys[p])
-            for p, w in zip(pos.tolist(), self._words(pos))
-        ]
-
     @cached_property
     def elements(self):
-        """Every member in (length, word) order, built on first use; the
-        involutions are the objects of `involutions()`."""
-        out = self._members(np.arange(len(self)))
-        for z in self._involutions:
-            out[self.index[z.key]] = z
-        return out
+        """Every member in (length, word) order, built on first use."""
+        words = self._words()
+        return list(map(MatrixElement, [self.group] * len(words), self.mats, words, self.index))
 
     @cached_property
     def by_key(self):
@@ -387,23 +375,14 @@ class Ball:
 
     @cached_property
     def _columns(self):
-        """The `RootColumns` of this ball's N-set roots: the simple roots
-        first, then those of the involutions (added by `graph`) and of any
-        other member passed to `n_set`."""
+        """The `RootColumns` of the N-sets passed through `n_set`."""
         return RootColumns(self.group.rank)
 
     @cached_property
     def graph(self):
-        """The excess-zero graph on `involutions()`, in their order, built on
-        first use.  The columns of its N-set words are `_columns`, which the
-        involutions' N-set roots all join in one call, so the words stay
-        narrow."""
-        invs = self._involutions
-        cols = self._columns.add(self.group.n_set_vectors([z.word for z in invs]))
-        member = np.zeros((len(invs), len(self._columns)), dtype=bool)
-        member[np.repeat(np.arange(len(invs)), [z.length for z in invs]), cols] = True
-        rows = _pairwise_disjoint_rows(pack_words(member))
-        return E0Graph(self.group, InvolutionSet(self.group, invs), rows, self.radius)
+        """The excess-zero graph on the ball's involutions, from the walk
+        (`involution_graph`), built on first use."""
+        return involution_graph(self.group, self.radius)
 
     def __len__(self):
         return len(self.index)
@@ -412,8 +391,9 @@ class Ball:
         return elem.key in self.index
 
     def involutions(self):
-        """Members w != 1 with w = w^-1, in (length, word) order."""
-        return self._involutions
+        """Members w != 1 with w = w^-1, in (length, word) order: the
+        vertices of `graph`."""
+        return self.graph.vertices.elements
 
     def n_set(self, elem):
         """N(elem) as columns of `_columns`; raises ToleranceError when elem,
@@ -437,74 +417,169 @@ class Ball:
         return [g.vertices.elements[j] for j in _set_bits(both).tolist()]
 
 
+def _first_on_each_key(cand, registry, held):
+    """(keys, keep): the key of every candidate matrix, and the ascending
+    positions of the first candidate on each key that `registry` does not
+    hold.
+
+    A key hit on a matrix that differs by more than MATRIX_COLLISION_TOL
+    aborts; only real hits are compared, never a candidate with itself.
+    `registry` maps the keys held already to their rows of `held()`, the
+    stacked matrices, which is built only on a hit there: the callers step
+    only ascents, so such a hit is float error alone.
+    """
+    keys = _mat_keys(cand)
+    n = len(keys)
+    first = dict(zip(reversed(keys), range(n - 1, -1, -1)))  # key -> first candidate
+    hits, prev = [], []  # the candidates on a key already held, and its matrix
+    if len(first) < n:  # a key reached twice among the candidates
+        j = np.fromiter(map(first.__getitem__, keys), np.intp, n)
+        hits.append(np.flatnonzero(j != np.arange(n)))
+        prev.append(cand[j[hits[-1]]])
+    if not registry.keys().isdisjoint(first):
+        hits.append(np.array([c for c, k in enumerate(keys) if k in registry]))
+        prev.append(held()[[registry[keys[c]] for c in hits[-1].tolist()]])
+        for k in registry.keys() & first.keys():
+            del first[k]
+    if hits:
+        gap = np.abs(cand[np.concatenate(hits)] - np.concatenate(prev)).max()
+        if gap > MATRIX_COLLISION_TOL:
+            raise ToleranceError("matrix key collision between distinct elements")
+    return keys, np.sort(np.fromiter(first.values(), np.intp, len(first)))
+
+
 def enumerate_ball(group, radius):
     """All elements of length <= radius, one BFS layer at a time.
 
-    A layer steps every frontier matrix, and its inverse, by each generator
-    that lengthens it, in (frontier element, generator) order.  The first
-    candidate on a key wins, so every stored word is the shortlex-least
-    reduced word, the lexmin word of `reduce_word`, and the elements come
-    out in (length, word) order.  A key hit on a matrix that differs by
-    more than MATRIX_COLLISION_TOL aborts; only real hits are compared,
-    never a candidate with itself.
+    A layer steps every frontier matrix by each generator that lengthens
+    it, in (frontier element, generator) order.  The first candidate on a
+    key wins (`_first_on_each_key`), so every stored word is the
+    shortlex-least reduced word, the lexmin word of `reduce_word`, and the
+    elements come out in (length, word) order.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    form2 = group._form2
-    mats = invs = group.identity_mat[None]
+    mats = group.identity_mat[None]
     registry = dict.fromkeys(_mat_keys(mats), 0)  # key -> position in the ball
     zero = np.zeros(1, dtype=np.intp)
-    layers = [(mats, zero, zero, np.zeros(1, dtype=bool))]
+    layers = [(mats, zero, zero)]
     for _ in range(radius):
         f, g = np.nonzero(~negative(mats, axis=1))  # l(ws) > l(w)
         if not len(f):
             break
-        cand = mats[f] - mats[f, :, g][:, :, None] * form2[g][:, None, :]
-        keys = _mat_keys(cand)
-        n = len(keys)
-        first = dict(zip(reversed(keys), range(n - 1, -1, -1)))  # key -> first candidate
-        hits, prev = [], []  # the candidates on a key already held, and its matrix
-        if len(first) < n:  # a key reached twice in this layer
-            j = np.fromiter(map(first.__getitem__, keys), np.intp, n)
-            hits.append(np.flatnonzero(j != np.arange(n)))
-            prev.append(cand[j[hits[-1]]])
-        if not registry.keys().isdisjoint(first):  # an earlier layer: only float error
-            hits.append(np.array([c for c, k in enumerate(keys) if k in registry]))
-            held = np.concatenate([layer[0] for layer in layers])
-            prev.append(held[[registry[keys[c]] for c in hits[-1].tolist()]])
-            for k in registry.keys() & first.keys():
-                del first[k]
-        if hits:
-            gap = np.abs(cand[np.concatenate(hits)] - np.concatenate(prev)).max()
-            if gap > MATRIX_COLLISION_TOL:
-                raise ToleranceError("matrix key collision between distinct elements")
-        keep = np.sort(np.fromiter(first.values(), np.intp, len(first)))
+        cand = group._mul_gens(mats[f], g)
+        keys, keep = _first_on_each_key(
+            cand, registry, lambda: np.concatenate([layer[0] for layer in layers])
+        )
         base = len(registry)
         registry.update(zip(map(keys.__getitem__, keep.tolist()), count(base)))
-        f, g = f[keep], g[keep]
         mats = cand[keep]
-        invs = invs[f]
-        invs[np.arange(len(keep)), g] -= np.einsum("mk,mkj->mj", form2[g], invs)
-        is_inv = (
-            np.round(mats, MATRIX_KEY_DECIMALS) == np.round(invs, MATRIX_KEY_DECIMALS)
-        ).all(axis=(1, 2))
-        layers.append((mats, f + (base - len(layers[-1][0])), g + 1, is_inv))
+        layers.append((mats, f[keep] + (base - len(layers[-1][0])), g[keep] + 1))
     return Ball(group, radius, registry, layers)
 
 
-def universal_neighborhood(x, ball):
-    """Neighbourhood of x in a universal group, by the last-letter rule.
+def _lexmin_involutions(group, layers):
+    """`MatrixElement`s of the involutions stacked in `layers` (layer l - 1
+    holds length l), in (length, word) order, each with its lexmin word and
+    its matrix stepped along that word.
+
+    An involution's left descents are the negative columns of its own
+    matrix, since w^-1 = w.  Each letter position peels the smallest one off
+    every matrix still that long at once, as `reduce_word` does for one word;
+    the matrices are in length order, so those form a suffix.  Each peel
+    shortens by exactly one, so a matrix with no descent before its length,
+    or one left after it, raises ToleranceError: the sign rule's margin of 1
+    makes that test free of the entries' scale.  Two matrices peeling to one
+    word are one element split over two keys, and raise too.
+    """
+    R = len(layers)
+    lengths = np.repeat(np.arange(1, R + 1), [len(m) for m in layers])
+    mats = np.concatenate([np.empty((0, group.rank, group.rank)), *layers])
+    letters = np.full((len(mats), R), -1)  # 0-based, -1 past the word's end
+    starts = np.searchsorted(lengths, np.arange(R), "right")  # the words longer than t
+    for t, a in enumerate(starts.tolist()):
+        neg = negative(mats[a:], axis=1)
+        if not neg.any(axis=1).all():
+            raise ToleranceError("peeling descents stopped short of the length")
+        letters[a:, t] = neg.argmax(axis=1)
+        mats[a:] = group._mul_gens(mats[a:], letters[a:, t])
+    if negative(mats, axis=1).any():
+        raise ToleranceError("peeling descents outgrew the length")
+    letters = letters[np.lexsort([*letters.T[::-1], lengths])]
+    if (letters[1:] == letters[:-1]).all(axis=1).any():
+        raise ToleranceError("matrix key split: one element on two keys")
+    mats[:] = group.identity_mat
+    for t, a in enumerate(starts.tolist()):
+        mats[a:] = group._mul_gens(mats[a:], letters[a:, t])
+    mats.flags.writeable = False
+    words = [tuple(w[:l]) for w, l in zip((letters + 1).tolist(), lengths.tolist())]
+    return list(map(MatrixElement, [group] * len(words), mats, words, _mat_keys(mats)))
+
+
+def walk_involutions(group, radius):
+    """The involutions w != 1 of length <= radius, in (length, word) order,
+    as `MatrixElement`s that equal `element_from_word(w.word)`, matrix and
+    key.
+
+    The ascending twisted-involution walk, cut at `radius`: an ascent s of
+    an involution x is a column of positive sum, and the next involution is
+    xs, one longer, when x . a_s = a_s (compared on the key grid), and sxs,
+    two longer, otherwise.  Every involution is reached from the identity
+    this way (Richardson-Springer 1990; Hultman 2005), and nothing else is
+    visited.  The walk goes one length at a time, and a length's candidates
+    are deduplicated by key as in `enumerate_ball` (`_first_on_each_key`).
+    Words come last, for every length at once (`_lexmin_involutions`).
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    mats = group.identity_mat[None]
+    layers = [mats]
+    registry = dict.fromkeys(_mat_keys(mats), 0)  # key -> row of the stacked layers
+    sxs = mats[:0]  # the candidates two longer than the last layer
+    for length in range(1, radius + 1):
+        f, s = np.nonzero(~negative(mats, axis=1))  # l(xs) > l(x)
+        xs = group._mul_gens(mats[f], s)
+        image = np.round(mats[f, :, s], MATRIX_KEY_DECIMALS)  # x . a_s on the key grid
+        fixed = (image == group.identity_mat[s]).all(axis=1)
+        cand = np.concatenate([sxs, xs[fixed]])
+        sxs, t = xs[~fixed], s[~fixed]  # sxs: row s of xs less 2 <a_s, .> xs
+        sxs[np.arange(len(t)), t] -= np.einsum("mk,mkj->mj", group._form2[t], sxs)
+        keys, keep = _first_on_each_key(cand, registry, lambda: np.concatenate(layers))
+        registry.update(zip(map(keys.__getitem__, keep.tolist()), count(len(registry))))
+        mats = cand[keep]
+        layers.append(mats)
+        if not len(mats) and not len(sxs):
+            break
+    return _lexmin_involutions(group, layers[1:])
+
+
+def involution_graph(group, radius):
+    """The excess-zero graph on `walk_involutions(group, radius)`, in their
+    order.  Its N-set columns are a `RootColumns` of its own, which the
+    involutions' N-set roots all join in one call, so the words stay
+    narrow."""
+    invs = walk_involutions(group, radius)
+    columns = RootColumns(group.rank)
+    cols = columns.add(group.n_set_vectors([z.word for z in invs]))
+    member = np.zeros((len(invs), len(columns)), dtype=bool)
+    member[np.repeat(np.arange(len(invs)), [z.length for z in invs]), cols] = True
+    rows = _pairwise_disjoint_rows(pack_words(member))
+    return E0Graph(group, InvolutionSet(group, invs), rows, radius)
+
+
+def universal_neighborhood(x, graph):
+    """Neighbourhood of the vertex x of an `involution_graph` of a universal
+    group, by the last-letter rule.
 
     In a group with no braid relations every element has one reduced word,
     and an involution's neighbours are exactly the involutions whose word
     does not end with x's last letter.
     """
-    if not ball.group.is_universal:
+    if not graph.group.is_universal:
         raise SpecError("last-letter neighbourhoods need a universal group")
-    if x not in ball:
-        raise ValueError(f"{x!r} is not in the ball")
+    graph.vertices.index_of(x)  # ValueError when x is not a vertex
     last = x.word[-1]
-    return [z for z in ball.involutions() if z.word[-1] != last]
+    return [z for z in graph.vertices if z.word[-1] != last]
 
 
 # ---------------------------------------------------------------------------
@@ -565,13 +640,13 @@ def ball_graph_diameter_evidence(group, radius, extra=2):
     return _max_parabolic_evidence(group, radius, extra)
 
 
-def _pair_scan(ball, radius):
+def _pair_scan(g, radius):
     """(a, far, near) over the n involutions of length <= radius, which come
-    first in `ball.graph`: a is their n x V block of `ball.graph.dense()`,
-    far[i, j] marks the non-adjacent pairs i < j, and near[i, j] whether i
-    and j have a common neighbour anywhere in the ball."""
-    n = sum(1 for z in ball.involutions() if z.length <= radius)
-    a = ball.graph.dense()[:n]
+    first in the graph g: a is their n x V block of `g.dense()`, far[i, j]
+    marks the non-adjacent pairs i < j, and near[i, j] whether i and j have
+    a common neighbour anywhere in g."""
+    n = sum(1 for z in g.vertices if z.length <= radius)
+    a = g.dense()[:n]
     return a, np.triu(~a[:, :n], 1), a @ a.T
 
 
@@ -599,9 +674,9 @@ def _words(elems, indices, names=None):
 
 
 def _universal_evidence(group, radius, extra):
-    big = enumerate_ball(group, radius + extra)
-    invs = big.involutions()
-    _, far, near = _pair_scan(big, radius)
+    g = involution_graph(group, radius + extra)
+    invs = g.vertices.elements
+    _, far, near = _pair_scan(g, radius)
     witness = _first_pair(far)
     failure = _first_pair(far & ~near)
     claims = [
@@ -652,11 +727,19 @@ def _max_parabolic_evidence(group, radius, extra):
     )
 
     # the graph reaches x and y; the scan covers the radius-`radius` ball
-    ball = enumerate_ball(group, max(radius, x.length, y.length))
-    g = ball.graph
+    g = involution_graph(group, max(radius, x.length, y.length))
+    invs = g.vertices.elements
     ix, iy = g.vertices.index_of(x), g.vertices.index_of(y)
-    # the simple root of generator i is column i - 1
-    descents_x, descents_y = ({i for i in R if i - 1 in ball.n_set(w)} for w in (x, y))
+    n = sum(1 for z in invs if z.length <= radius)
+    a = g.dense()
+    scan = [k for k in np.flatnonzero(a[ix, :n] | a[iy, :n]).tolist() if k not in (ix, iy)]
+    # the descents of x, y and every scanned neighbour, from their matrices:
+    # for an involution the left and right descents agree
+    descents = [
+        {i + 1 for i in np.flatnonzero(row).tolist()}
+        for row in negative(np.stack([invs[k].mat for k in [ix, iy, *scan]]), axis=1)
+    ]
+    descents_x, descents_y = descents[:2]
     claims.append(
         Claim(
             "parabolic longest elements have every generator but one as a "
@@ -667,17 +750,11 @@ def _max_parabolic_evidence(group, radius, extra):
         )
     )
 
-    n = sum(1 for z in ball.involutions() if z.length <= radius)
-    a = g.dense()
     bad = []
-    for k in np.flatnonzero(a[ix, :n] | a[iy, :n]).tolist():
-        if k in (ix, iy):
-            continue
-        z = g.vertices.elements[k]
-        left, _ = group.descent_sets(z)
+    for k, left in zip(scan, descents[2:]):
         for i, t in ((ix, r), (iy, s)):
             if a[i, k] and left != {t}:
-                bad.append((z, sorted(left)))
+                bad.append((invs[k], sorted(left)))
     claims.append(
         Claim(
             "ball scan: neighbours of the two witnesses have the forced "
@@ -732,9 +809,9 @@ def product_diameter_check(specs, radius, extra=2):
         hi = lo + factors[k].rank
         return tuple(l - lo for l in word if lo < l <= hi)
 
-    big = enumerate_ball(group, radius + extra)
-    invs = big.involutions()
-    factor_graphs = [enumerate_ball(f, radius + extra).graph for f in factors]
+    g = involution_graph(group, radius + extra)
+    invs = g.vertices.elements
+    factor_graphs = [involution_graph(f, radius + extra) for f in factors]
     # coords[v, k]: the vertex of factor graph k that is the k-th coordinate
     # of involution v, or -1 where that coordinate is the identity.  The
     # lexmin word of a product member projects onto the lexmin word of each
@@ -746,7 +823,7 @@ def product_diameter_check(specs, radius, extra=2):
             if word := project(z.word, k):
                 coords[v, k] = vertex[word]
 
-    a, far, near = _pair_scan(big, radius)
+    a, far, near = _pair_scan(g, radius)
     n = len(a)
     coordwise = np.ones((n, n), dtype=bool)  # an identity coordinate never blocks
     for k, fg in enumerate(factor_graphs):

@@ -351,8 +351,8 @@ def _lem_universal(rep, _):
         ev.ok, expected="distance <= 2", actual=ev.to_json_dict()["claims"],
     )
 
-    ball2, ball3 = inf.enumerate_ball(u2, 6), inf.enumerate_ball(u3, 6)
-    a2, a3 = ball2.graph.dense(), ball3.graph.dense()
+    g2, g3 = inf.involution_graph(u2, 6), inf.involution_graph(u3, 6)
+    a2, a3 = g2.dense(), g3.dense()
     # the edges i < j whose ends have a common neighbour (a @ a.T), or have none
     offenders = int((np.triu(a2, 1) & (a2 @ a2.T)).sum())
     rep.require(
@@ -367,9 +367,9 @@ def _lem_universal(rep, _):
         not missing, expected=0, actual=missing,
     )
 
-    for ball, label in ((ball2, "U2"), (ball3, "U3")):
-        bad = sum(ball.graph.neighborhood(x) != set(inf.universal_neighborhood(x, ball))
-                  for x in ball.involutions())
+    for g, label in ((g2, "U2"), (g3, "U3")):
+        bad = sum(g.neighborhood(x) != set(inf.universal_neighborhood(x, g))
+                  for x in g.vertices)
         rep.require(
             f"{label}: the last-letter rule reproduces N-set adjacency on "
             "every ball involution",

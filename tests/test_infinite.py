@@ -5,12 +5,13 @@ import os
 import subprocess
 import sys
 import threading
+from itertools import count
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from e0graph import graph, infinite
+from e0graph import cli, graph, infinite
 from e0graph.coxeter import (
     CoxeterMatrix,
     SpecError,
@@ -204,6 +205,104 @@ def test_radius_20_ball_is_pinned():
     assert np.array_equal(mats, ball.mats)
 
 
+def inverse_words(group, ball):
+    """The lexmin word of each member's inverse, in member order, peeled off
+    the member's own matrix: the left descents of w^-1 are the columns of w
+    with a negative coefficient sum.  No walk and no stored word is read."""
+    form2 = 2.0 * np.array(group.form)
+    lengths = np.array([e.length for e in ball.elements])
+    out = []
+    for length in range(ball.radius + 1):
+        m = ball.mats[lengths == length]
+        rows, letters = np.arange(len(m)), []
+        for _ in range(length):
+            s = (m.sum(axis=1) < 0).argmax(axis=1)
+            letters.append(s + 1)
+            m = m - m[rows, :, s][:, :, None] * form2[s][:, None, :]
+        out += map(tuple, np.reshape(letters, (length, len(m))).T.tolist())
+    return out
+
+
+@pytest.mark.parametrize("group,radius", [
+    (InfiniteCoxeterGroup(H337), 20),
+    (u(3), 12),
+    (u(4), 8),
+    (InfiniteCoxeterGroup(AFFINE_A2), 32),
+    (InfiniteCoxeterGroup.from_spec("U3xU3"), 6),
+    (InfiniteCoxeterGroup(parse_group_spec("B3").coxeter_matrix()), 12),
+], ids=["337", "U3", "U4", "A2~", "U3xU3", "B3"])
+def test_walk_matches_the_ball_filtered(group, radius):
+    # the ball's members with w = w^-1, by their inverses' words
+    ball = enumerate_ball(group, radius)
+    want = [e for e, w in zip(ball.elements, inverse_words(group, ball))
+            if e.word and w == e.word]
+    got = infinite.walk_involutions(group, radius)
+    assert len(got) > 10
+    assert [z.word for z in got] == [e.word for e in want]
+    assert [z.key for z in got] == [e.key for e in want]
+    assert all(np.array_equal(z.mat, e.mat) for z, e in zip(got, want))  # bit for bit
+    assert all(group.element_from_word(z.word).key == z.key for z in got)
+
+
+@pytest.mark.parametrize("n,radius", [(3, 20), (4, 14)])
+def test_walk_counts_universal_involutions(n, radius):
+    # U_n's involutions are its odd palindromes, words with no letter twice
+    # in a row: n(n-1)^k of length 2k+1, generated here from their halves
+    want, halves = [], [(i,) for i in range(1, n + 1)]
+    for k in range((radius + 1) // 2):
+        want += sorted(h + h[-2::-1] for h in halves)
+        halves = [h + (i,) for h in halves for i in range(1, n + 1) if i != h[-1]]
+    got = [z.word for z in infinite.walk_involutions(u(n), radius)]
+    assert got == want
+    lengths = [len(w) for w in got]
+    assert all(lengths.count(2 * k + 1) == n * (n - 1) ** k for k in range((radius + 1) // 2))
+    if n == 3:
+        assert len(got) == 3069  # the formula and the generated words agree
+
+
+def test_walk_guards(monkeypatch):
+    with pytest.raises(ValueError):
+        infinite.walk_involutions(u(3), -1)
+    assert infinite.walk_involutions(u(3), 0) == []
+    # U3 has no braid relations, so no key is hit and nothing is compared
+    monkeypatch.setattr(infinite, "MATRIX_COLLISION_TOL", -1.0)
+    assert len(infinite.walk_involutions(u(3), 6)) == 3 + 6 + 12
+    # 121 = 212 in affine A2: two candidates on one key now collide
+    with pytest.raises(ToleranceError, match="collision"):
+        infinite.walk_involutions(InfiniteCoxeterGroup(AFFINE_A2), 3)
+    monkeypatch.undo()
+    # with one key for every matrix, the generators land on the identity
+    monkeypatch.setattr(infinite, "_mat_keys", lambda mats: [b""] * len(mats))
+    with pytest.raises(ToleranceError, match="collision"):
+        infinite.walk_involutions(u(3), 1)
+    # with a key of its own for every matrix, 121 and 212 peel to one word
+    fresh = count()
+    monkeypatch.setattr(infinite, "_mat_keys", lambda mats: [next(fresh) for _ in mats])
+    with pytest.raises(ToleranceError, match="split"):
+        infinite.walk_involutions(InfiniteCoxeterGroup(AFFINE_A2), 3)
+    monkeypatch.undo()
+    group = u(3)
+    with pytest.raises(ToleranceError, match="stopped short"):
+        infinite._lexmin_involutions(group, [group.identity_mat[None]])
+    with pytest.raises(ToleranceError, match="outgrew"):
+        infinite._lexmin_involutions(group, [group.element_from_word((1, 2, 1)).mat[None]])
+
+
+def test_evidence_and_exports_enumerate_no_ball(monkeypatch, capsys):
+    calls = []
+    real = infinite.enumerate_ball
+    monkeypatch.setattr(infinite, "enumerate_ball",
+                        lambda *args: calls.append(args) or real(*args))
+    assert ball_graph_diameter_evidence(u(3), 4).ok
+    assert ball_graph_diameter_evidence(InfiniteCoxeterGroup(H337), 6).ok
+    assert product_diameter_check(("U3", "U3"), 3).ok
+    assert cli.main(["export", "-g", "U3", "--radius", "3"]) == 0
+    assert calls == []
+    assert cli.main(["ball", "-g", "U3", "--radius", "3"]) == 0
+    assert len(calls) == 1  # the ball command's element count
+    capsys.readouterr()
+
+
 def test_members_are_built_on_demand(monkeypatch):
     built = []
     real = infinite.MatrixElement.__init__
@@ -218,17 +317,19 @@ def test_members_are_built_on_demand(monkeypatch):
     assert outside.length == 15
     monkeypatch.setattr(infinite.MatrixElement, "__init__", counted)
     ball = enumerate_ball(group, 12)
+    assert len(ball) == len(ref_words) and outside not in ball
+    assert not built  # the ball builds no member
     invs = ball.involutions()
-    assert len(built) == len(invs)
-    assert len(ball) == len(ref_words)
-    assert invs[5] in ball and outside not in ball
+    assert len(built) == len(invs)  # the walk builds only involutions
+    assert invs[5] in ball
     assert ball.graph.edge_count()
     assert ball_graph_diameter_evidence(group, 12).ok
-    # the evidence ball's involutions and the two parabolic witnesses
+    # the evidence walk's involutions and the two parabolic witnesses
     assert len(built) == 2 * len(invs) + 2
     assert [e.word for e in ball.elements] == ref_words
+    assert len(built) == 2 * len(invs) + 2 + len(ball)
     assert all(ball.by_key[e.key] is e for e in ball.elements)
-    assert all(ball.elements[ball.index[z.key]] is z for z in invs)
+    assert all(ball.elements[ball.index[z.key]].word == z.word for z in invs)
 
 
 def test_batched_n_sets_match_single_words():
@@ -295,8 +396,11 @@ def test_root_columns_match_root_system(group, radius):
     roots = generate_root_system(group.matrix, max_depth=radius)
     ball = enumerate_ball(group, radius)
     rows = ball.graph.rows
-    indices = [roots.indices_of(e.n_set_vectors()) for e in ball.elements]
-    n_sets = [ball.n_set(e) for e in ball.elements]
+    # every member's N-set in one batch, split back by word length
+    vectors = group.n_set_vectors([e.word for e in ball.elements])
+    cuts = np.cumsum([e.length for e in ball.elements])[:-1]
+    indices = [roots.indices_of(v) for v in np.split(vectors, cuts)]
+    n_sets = [frozenset(c) for c in np.split(ball._columns.add(vectors).tolist(), cuts)]
     # one root-system index per column, and no index for two columns
     by_column = roots.indices_of(ball._columns.vectors)
     assert by_column[: group.rank] == list(range(group.rank))
@@ -360,8 +464,11 @@ def test_root_key_split_aborts():
 def test_root_key_collision_aborts(monkeypatch):
     # every key hit now counts as two roots on one key
     ball = enumerate_ball(InfiniteCoxeterGroup(AFFINE_A2), 4)
-    ball.n_set(ball.involutions()[0])
+    x = ball.elements[1]
+    ball.n_set(x)
     monkeypatch.setattr(infinite, "ROOT_COLLISION_TOL", -1.0)
+    with pytest.raises(ToleranceError, match="collision"):
+        ball.n_set(x)
     with pytest.raises(ToleranceError, match="collision"):
         ball.graph
 
@@ -432,13 +539,15 @@ def test_universal_neighborhood_examples():
     grp = u(2)
     ball = enumerate_ball(grp, 3)
     r = grp.element_from_word((1,))
-    assert words(universal_neighborhood(r, ball)) == {(2,), (2, 1, 2)}
+    assert words(universal_neighborhood(r, ball.graph)) == {(2,), (2, 1, 2)}
     rsr = grp.element_from_word((1, 2, 1))
-    assert words(universal_neighborhood(rsr, ball)) == {(2,), (2, 1, 2)}
+    assert words(universal_neighborhood(rsr, ball.graph)) == {(2,), (2, 1, 2)}
     grp3 = u(3)
-    ball3 = enumerate_ball(grp3, 1)
+    g3 = infinite.involution_graph(grp3, 1)
     r1 = grp3.element_from_word((1,))
-    assert words(universal_neighborhood(r1, ball3)) == {(2,), (3,)}
+    assert words(universal_neighborhood(r1, g3)) == {(2,), (3,)}
+    with pytest.raises(ValueError, match="not a vertex"):
+        universal_neighborhood(grp3.element_from_word((1, 2)), g3)
 
 
 def test_universal_neighborhood_matches_direct_adjacency():
@@ -447,7 +556,7 @@ def test_universal_neighborhood_matches_direct_adjacency():
         ball = enumerate_ball(grp, L)
         invs = ball.involutions()
         for x in invs:
-            rule = words(universal_neighborhood(x, ball))
+            rule = words(universal_neighborhood(x, ball.graph))
             direct = {z.word for z in invs
                       if z.key != x.key and ball.is_adjacent(x, z)}
             assert rule == direct
@@ -456,10 +565,10 @@ def test_universal_neighborhood_matches_direct_adjacency():
 def test_universal_neighborhood_needs_universal_group():
     m = CoxeterMatrix([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
     grp = InfiniteCoxeterGroup(m)
-    ball = enumerate_ball(grp, 3)
+    g = infinite.involution_graph(grp, 3)
     x = grp.element_from_word((1,))
     with pytest.raises(SpecError):
-        universal_neighborhood(x, ball)
+        universal_neighborhood(x, g)
 
 
 def test_dihedral_families_share_neighbourhoods():
