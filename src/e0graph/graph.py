@@ -10,21 +10,24 @@ permutation each graph computes once, and write each vertex's run of edges
 to later ids with one str.join (`E0Graph._edge_blocks`).  x and y are joined
 exactly when l(xy) = l(x) + l(y), which happens iff N(x) and N(y) are
 disjoint.  The N-sets of all vertices are packed into k = ceil(|Phi+| / 64)
-machine words each (`CoxeterGroup.n_set_words`), so building the graph is a
-pairwise AND over k vectors of words, whatever the width.  The adjacency is
-one packed V x ceil(V/64) little-endian uint64 matrix, `E0Graph.rows` (bit j
-of row i set iff i and j are joined, zero padding past column V), and every
-reader uses it as it is.  The walk stops, and the group is refused, once it
-finds more involutions than `vertex_limit` allows: a matrix within
-`ADJACENCY_BUDGET`.  So B8, E7xA1 and D9 build, and E8, A11 and A15 are
-refused.  A ball of an infinite group (`infinite.Ball.graph`) is the same
-`E0Graph` on the ball's involutions, with its N-sets packed by the same
-`pack_words` and its matrix built by the same `_pairwise_disjoint_rows`.
+machine words each (`CoxeterGroup.n_set_words`).  The adjacency is the
+complement of the boolean product N N^T of the V x |Phi+| N-set matrix, and
+`_pairwise_disjoint_rows` builds it from one table lookup per vertex and 8
+roots, not one AND per vertex pair.  It is one packed V x ceil(V/64)
+little-endian uint64 matrix, `E0Graph.rows` (bit j of row i set iff i and j
+are joined, zero padding past column V), and every reader uses it as it is.
+The walk stops, and the group is refused, once it finds more involutions
+than `vertex_limit` allows: a matrix within `ADJACENCY_BUDGET`.  So B8,
+E7xA1 and D9 build, and E8, A11 and A15 are refused.  A ball of an
+infinite group (`infinite.Ball.graph`) is the same `E0Graph` on the ball's
+involutions, with its N-sets packed by the same `pack_words` and its matrix
+built by the same `_pairwise_disjoint_rows`.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -42,8 +45,9 @@ from .coxeter import (
     parse_word,
 )
 
-# the working-set size of one block of the numpy kernels: the build's AND
-# temporary, the unpacked bit rows and the gathers of the row unions
+# the working-set size of one block of the numpy kernels: the build's
+# subset-OR tables plus its gathered table rows, its unpacked N-set bits,
+# the unpacked bit rows and the gathers of the row unions
 CHUNK_BYTES = 1 << 20
 # the most bytes build_graph spends on the adjacency matrix; E8 would need about 5 GB
 ADJACENCY_BUDGET = 1 << 30
@@ -194,19 +198,24 @@ class E0Graph:
         The pieces (`_edge_blocks`) are copied into one buffer of the text's
         exact size in bytes (vertex v's id is written deg(v) times) and
         decoded once: str.join, or a str grown by +=, left heap holes that
-        raised the dense benchmark's peak RSS by up to 12 MB."""
+        raised the dense benchmark's peak RSS by up to 12 MB.  The buffer is
+        an anonymous mapping, outside the malloc heap: a freed heap buffer
+        of that size moved glibc's mmap threshold, and the next export's
+        peak then hung on the heap's layout (86 or 95-99 MB on the dense
+        benchmark, by checkout path length alone)."""
         *_, rank = self._export_order()
         deg = self.degrees()
         E = sum(deg) // 2
         digits = np.array([len(str(i)) for i in range(len(rank))])[rank]  # of v's export id
         size = (len(head.encode()) + E * len((pre + mid + post).encode())
                 + (E - 1) * len(sep.encode()) + int(np.dot(deg, digits)) + len(tail.encode()))
-        out, pos = memoryview(bytearray(size)), 0
-        for piece in chain([head], self._edge_blocks(pre, mid, post, sep), [tail]):
-            data = piece.encode()
-            out[pos : pos + len(data)] = data  # raises if the text outgrows the buffer
-            pos += len(data)
-        return str(out[:pos], "utf-8")
+        with mmap.mmap(-1, size) as buf, memoryview(buf) as out:
+            pos = 0
+            for piece in chain([head], self._edge_blocks(pre, mid, post, sep), [tail]):
+                data = piece.encode()
+                out[pos : pos + len(data)] = data  # raises if the text outgrows the buffer
+                pos += len(data)
+            return str(out[:pos], "utf-8")
 
     def _edge_blocks(self, pre, mid, post, sep):
         """The edges in row-major order, `EXPORT_BLOCK` of them a string; each
@@ -280,25 +289,73 @@ def build_graph(group):
 
 
 def _pairwise_disjoint_rows(words):
-    """The adjacency matrix: bit j of row i set iff N-sets i and j are disjoint.
+    """The adjacency matrix: bit j of row i set iff i != j and N-sets i and j
+    are disjoint.
 
-    `words` is the (k, V) word-major N-set array of `n_set_words`.  Identity
-    is excluded from the vertex set, so every N-set is non-empty and the
-    diagonal comes out empty by itself.  Rows are built in blocks whose
-    uint64 AND temporaries stay within `CHUNK_BYTES` each, and each block is
-    packed straight into the zeroed matrix.
+    `words` is the (k, V) word-major N-set array of `pack_words`.  The matrix
+    is the complement of the boolean product N N^T of the V x |Phi+| N-set
+    matrix, built by the Four Russians method (Arlazarov, Dinic, Kronrod and
+    Faradzev, 1970).  A root in fewer than two N-sets can only meet a vertex
+    with itself, so it is dropped and the diagonal is set by hand.  The
+    other roots are compacted eight to a byte of each N-set (`idx`), and
+    each is also packed as the V-bit row of the vertices that hold it
+    (`cols`).  For a group of 8 roots, `_subset_ors` tables the OR of the
+    rows of every subset of them, and a row i of the product is the OR over
+    the groups of the table row picked by byte g of N-set i.  So a vertex
+    costs one gathered row per 8 roots, not one AND per vertex pair.  The
+    unpacked N-set bits, the tables and each gathered block stay within
+    `CHUNK_BYTES`.
     """
-    V = words.shape[1]
-    rows = np.zeros((V, -(-V // 64)), dtype="<u8")
-    out = rows.view(np.uint8)
-    block = max(1, CHUNK_BYTES // (8 * max(V, 1)))
-    for start in range(0, V, block):
-        meet = words[0, start : start + block, None] & words[0, None, :]
-        for word in words[1:]:
-            meet |= word[start : start + block, None] & word[None, :]
-        packed = np.packbits(meet == 0, axis=1, bitorder="little")
-        out[start : start + len(packed), : packed.shape[1]] = packed
+    k, V = words.shape
+    W = -(-V // 64)
+    twice = np.bitwise_or.reduce(  # the roots an N-set shares with an earlier one
+        words[:, 1:] & np.bitwise_or.accumulate(words, axis=1)[:, :-1], axis=1)
+    shared = np.flatnonzero(_bools(twice, 64 * k))
+    G = -(-len(shared) // 8)
+    idx = np.zeros((G, V), dtype=np.uint8)
+    cols = np.zeros((8 * G, 8 * W), dtype=np.uint8)
+    # vertices unpacked at a time: 64 k bools each, a quarter of CHUNK_BYTES
+    # in all, and a multiple of 8, so that each block's columns start a byte
+    step = 8 * max(1, CHUNK_BYTES // (4 * 8 * 64 * max(k, 1)))
+    for start in range(0, V, step):
+        block = np.ascontiguousarray(words[:, start : start + step].T)
+        bits = _bools(block, 64 * k)[:, shared]
+        idx[:, start : start + len(bits)] = np.packbits(bits, axis=1, bitorder="little").T
+        packed = np.packbits(bits, axis=0, bitorder="little").T
+        cols[: len(shared), start >> 3 : (start >> 3) + packed.shape[1]] = packed
+    cols = cols.view("<u8").reshape(G, 8, W)
+    # The tables of gc groups, Wc words a row, and rb vertices' gathered rows,
+    # each within a quarter of CHUNK_BYTES.  At most 16 groups a table block
+    # keeps the gathered rows wide; every finite group's roots (|Phi+| <= 127)
+    # fit one block, so its matrix is written in one pass.
+    units = max(1, CHUNK_BYTES // (4 * 256 * 8))  # (group, word) cells of table
+    gc = max(1, min(G, 16, units))
+    Wc = units // gc
+    rb = max(1, CHUNK_BYTES // (4 * 8 * gc * Wc))
+    rows = np.zeros((V, W), dtype="<u8")
+    for b in range(8):  # every vertex meets itself: bit i of row i is in byte i >> 3
+        np.fill_diagonal(rows.view(np.uint8)[b::8], 1 << b)
+    for g in range(0, G, gc):
+        offsets = 256 * np.arange(len(cols[g : g + gc]))[:, None]
+        for c in range(0, W, Wc):
+            table = _subset_ors(cols[g : g + gc, :, c : c + Wc])
+            for r in range(0, V, rb):
+                picked = np.take(table, idx[g : g + gc, r : r + rb] + offsets, axis=0)
+                rows[r : r + rb, c : c + Wc] |= np.bitwise_or.reduce(picked, axis=0)
+    valid = np.zeros(8 * W, dtype=np.uint8)  # the bits of columns 0..V-1
+    valid[: -(-V // 8)] = np.packbits(np.ones(V, dtype=bool), bitorder="little")
+    rows ^= valid.view("<u8")  # the complement, zero past column V
     return rows
+
+
+def _subset_ors(cols):
+    """(n, 8, w) packed rows -> the (256 n, w) table whose row 256 i + m is
+    the OR of the rows cols[i, b] over the set bits b of m, built in 8
+    doubling steps for all n groups at once."""
+    table = np.zeros((len(cols), 256, cols.shape[2]), dtype=cols.dtype)
+    for b in range(8):
+        np.bitwise_or(table[:, : 1 << b], cols[:, b, None], out=table[:, 1 << b : 2 << b])
+    return table.reshape(-1, cols.shape[2])
 
 
 def _set_bits(row):

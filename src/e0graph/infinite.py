@@ -337,7 +337,7 @@ class Ball:
     `_gen[p]` (the identity, at position 0, has neither).  `index` maps
     each member's key to its position.  Words are read by walking parent
     positions; `elements` and `by_key` are built on first use, and the
-    involutions and `graph` come from the walk at the ball's radius.
+    involutions (one walk at the ball's radius) and `graph` on them too.
     """
 
     def __init__(self, group, radius, index, layers):
@@ -379,10 +379,14 @@ class Ball:
         return RootColumns(self.group.rank)
 
     @cached_property
+    def _involutions(self):
+        return walk_involutions(self.group, self.radius)
+
+    @cached_property
     def graph(self):
-        """The excess-zero graph on the ball's involutions, from the walk
-        (`involution_graph`), built on first use."""
-        return involution_graph(self.group, self.radius)
+        """The excess-zero graph on the ball's involutions, built on first
+        use."""
+        return _graph_on(self.group, self._involutions, self.radius)
 
     def __len__(self):
         return len(self.index)
@@ -391,9 +395,10 @@ class Ball:
         return elem.key in self.index
 
     def involutions(self):
-        """Members w != 1 with w = w^-1, in (length, word) order: the
-        vertices of `graph`."""
-        return self.graph.vertices.elements
+        """Members w != 1 with w = w^-1, in (length, word) order, from
+        `walk_involutions`: the vertices of `graph`, which is not built
+        for them."""
+        return self._involutions
 
     def n_set(self, elem):
         """N(elem) as columns of `_columns`; raises ToleranceError when elem,
@@ -555,10 +560,16 @@ def walk_involutions(group, radius):
 
 def involution_graph(group, radius):
     """The excess-zero graph on `walk_involutions(group, radius)`, in their
-    order.  Its N-set columns are a `RootColumns` of its own, which the
-    involutions' N-set roots all join in one call, so the words stay
-    narrow."""
-    invs = walk_involutions(group, radius)
+    order (`_graph_on`)."""
+    return _graph_on(group, walk_involutions(group, radius), radius)
+
+
+def _graph_on(group, invs, radius):
+    """The excess-zero graph on the involutions `invs` of a ball of the
+    given radius, in their order.  Its N-set columns are a `RootColumns` of
+    its own, which the involutions' N-set roots all join in one call.  Many
+    of those roots lie in one N-set only, and `_pairwise_disjoint_rows`
+    drops them: its cost grows with the roots two N-sets share."""
     columns = RootColumns(group.rank)
     cols = columns.add(group.n_set_vectors([z.word for z in invs]))
     member = np.zeros((len(invs), len(columns)), dtype=bool)
@@ -811,7 +822,10 @@ def product_diameter_check(specs, radius, extra=2):
 
     g = involution_graph(group, radius + extra)
     invs = g.vertices.elements
-    factor_graphs = [involution_graph(f, radius + extra) for f in factors]
+    # one graph per distinct factor: U3xU3 walks U3 once
+    graph_of = {s: involution_graph(f, radius + extra)
+                for s, f in dict(zip(specs, factors)).items()}
+    factor_graphs = [graph_of[s] for s in specs]
     # coords[v, k]: the vertex of factor graph k that is the k-th coordinate
     # of involution v, or -1 where that coordinate is the identity.  The
     # lexmin word of a product member projects onto the lexmin word of each

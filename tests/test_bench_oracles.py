@@ -1,4 +1,4 @@
-"""The benchmark's balls oracles, as a test: `perfbench/run.py` records a
+"""The benchmark's oracles, as tests: `perfbench/run.py` records a
 failed oracle in its output but still exits 0."""
 
 import sys
@@ -30,3 +30,12 @@ def test_balls_task_list_passes_its_oracles(workloads):
     assert all(ok for _, ok, _ in p.tasks), p.tasks
     assert counts["infinite.ball_elems"] == 72086
     assert counts["infinite.ball_invs"] == 392
+
+
+@pytest.mark.parametrize("name,V,E", [("e7", 10207, 360564), ("dense", 7775, 702153)])
+def test_finite_task_lists_pass_their_oracles(workloads, name, V, E):
+    # the valency, export and distance digests and the E7 pendants, untimed
+    p = workloads.Pass()
+    counts = workloads.run(p, name, workloads.setup(p, name), 1)
+    assert p.tasks and all(ok for _, ok, _ in p.tasks), p.tasks
+    assert (counts["graph.vertices_n"], counts["graph.edges_n"]) == (V, E)

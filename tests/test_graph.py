@@ -14,7 +14,15 @@ import numpy as np
 import pytest
 
 from e0graph import graph as gr
-from e0graph.coxeter import CoxeterGroup, Element, SpecError, _iter_bits, format_word
+from e0graph.coxeter import (
+    CoxeterGroup,
+    CoxeterMatrix,
+    Element,
+    SpecError,
+    _iter_bits,
+    format_word,
+    pack_words,
+)
 from e0graph.infinite import InfiniteCoxeterGroup, enumerate_ball
 from e0graph.tables import dihedral_distribution
 from e0graph.verify import SUITE
@@ -223,6 +231,44 @@ def test_two_word_rows_match_int_bitsets(monkeypatch, chunk, label):
     ]
     rows = gr._pairwise_disjoint_rows(grp.n_set_words([e.perm for e in invs]))
     assert list(E0Graph(grp, invs, rows).adj) == want
+
+
+def _n_set_case(case):
+    """(N-sets as ints, the (k, V) words the kernel reads) for a finite
+    group's label, a ball "<group> r<radius>", or a hand-made case."""
+    if case == "empty":
+        return [], np.zeros((1, 0), dtype="<u8")
+    if case == "unshared":  # 0 and 3 hold only roots no other N-set holds
+        nbits = [0b1, 0b110, 0b1100, 0b110000 | 1 << 70, 0b1000]
+    elif " r" in case:
+        label, radius = case.split(" r")
+        ball = enumerate_ball(
+            InfiniteCoxeterGroup(CoxeterMatrix([[1, 3, 7], [3, 1, 3], [7, 3, 1]]))
+            if label == "337" else InfiniteCoxeterGroup.from_spec(label), int(radius))
+        nbits = [sum(1 << c for c in ball.n_set(z)) for z in ball.involutions()]
+    else:
+        grp = group(case)
+        perms = [e.perm for e in enumerate_involutions(grp)]
+        return [grp._n_bits(p) for p in perms], grp.n_set_words(perms)
+    width = max(nbits).bit_length()
+    member = np.array([[b >> p & 1 for p in range(width)] for b in nbits], dtype=bool)
+    return nbits, pack_words(member)
+
+
+@pytest.mark.parametrize("chunk", [gr.CHUNK_BYTES, 8])
+@pytest.mark.parametrize("case", [*SUITE, "I2(63)", "I2(64)", "I2(65)", "I2(127)", "A1",
+                                  "empty", "unshared", "U3 r10", "337 r18"])
+def test_kernel_matches_int_oracle(monkeypatch, chunk, case):
+    # at 8 bytes every table holds one group and one word, and every block
+    # one vertex, so many table groups and row blocks are read
+    monkeypatch.setattr(gr, "CHUNK_BYTES", chunk)
+    nbits, words = _n_set_case(case)
+    rows = gr._pairwise_disjoint_rows(words)
+    V = len(nbits)
+    assert rows.dtype == np.dtype("<u8") and rows.shape == (V, -(-V // 64))
+    want = [sum(1 << j for j, b in enumerate(nbits) if a & b == 0 and j != i)
+            for i, a in enumerate(nbits)]
+    assert [int.from_bytes(row.tobytes(), "little") for row in rows] == want
 
 
 @pytest.mark.parametrize("label", ["A1", "A5", "I2(65)", "B2xA1xA2"])

@@ -194,9 +194,23 @@ BALL_337_R20_SHA256 = "8cef504b304657cf1583f71881ccd74f29bf00ff339fc06e782c0f116
 BALL_337_R20_MATS_SHA256 = "cab918d810f9f37bb662c9ce707f43b1f66fa5e60d9fefa02f436a964b9cbfee"
 
 
-def test_radius_20_ball_is_pinned():
+@pytest.fixture(scope="module")
+def ball_of():
+    """`enumerate_ball`, each (group, radius) once in this module: the
+    (3,3,7) radius-20 ball and its 70,690 members serve two tests."""
+    balls = {}
+
+    def ball_of(group, radius):
+        key = group.matrix, radius
+        if key not in balls:
+            balls[key] = enumerate_ball(group, radius)
+        return balls[key]
+    return ball_of
+
+
+def test_radius_20_ball_is_pinned(ball_of):
     # entries reach 2.2e4, where float keys are most stressed
-    ball = enumerate_ball(InfiniteCoxeterGroup(H337), 20)
+    ball = ball_of(InfiniteCoxeterGroup(H337), 20)
     text = repr(([(e.word, e.key) for e in ball.elements],
                  [z.word for z in ball.involutions()]))
     assert hashlib.sha256(text.encode()).hexdigest() == BALL_337_R20_SHA256
@@ -231,9 +245,9 @@ def inverse_words(group, ball):
     (InfiniteCoxeterGroup.from_spec("U3xU3"), 6),
     (InfiniteCoxeterGroup(parse_group_spec("B3").coxeter_matrix()), 12),
 ], ids=["337", "U3", "U4", "A2~", "U3xU3", "B3"])
-def test_walk_matches_the_ball_filtered(group, radius):
+def test_walk_matches_the_ball_filtered(ball_of, group, radius):
     # the ball's members with w = w^-1, by their inverses' words
-    ball = enumerate_ball(group, radius)
+    ball = ball_of(group, radius)
     want = [e for e, w in zip(ball.elements, inverse_words(group, ball))
             if e.word and w == e.word]
     got = infinite.walk_involutions(group, radius)
