@@ -205,7 +205,7 @@ def cmd_cosets(args):
     if args.parabolic:
         J = {int(t) for t in args.parabolic.split(",")}
     elif args.exclude is not None:
-        J = set(group.generators) - {args.exclude}
+        J = set(group.generators) - group._check_parabolic({args.exclude})
     else:
         raise SpecError("supply --parabolic i,j,... or --exclude k")
     reps = group.coset_representatives(J, side=args.side)
@@ -318,14 +318,14 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (SpecError, ToleranceError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # the reader closed stdout (`| head`): what is still buffered goes to
         # devnull, so the flush at exit raises no second BrokenPipeError
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except (SpecError, ToleranceError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -95,7 +95,10 @@ class CoxeterMatrix:
         """Load ``{"rank": n, "m": [[...]]}`` with 0 encoding infinity."""
         with open(path) as fh:
             data = json.load(fh)
-        m = data["m"]
+        m = data.get("m") if isinstance(data, dict) else None
+        if not isinstance(m, list) or not all(
+                isinstance(row, list) and all(type(x) is int for x in row) for row in m):
+            raise SpecError(f'{path}: expected an object with an "m" list of integer rows')
         if len(m) != data.get("rank", len(m)):
             raise SpecError("rank field disagrees with matrix size")
         return cls(m)

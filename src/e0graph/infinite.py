@@ -33,17 +33,17 @@ Two producers work one length layer at a time on (F, n, n) float64 stacks.
 
 Two involutions are adjacent when l(xy) = l(x) + l(y), that is when N(x)
 and N(y) are disjoint (Bjorner-Brenti, GTM 231, ch. 4), so a graph needs
-only the roots that occur in its vertices' N-sets: `RootColumns` keys those
-root vectors directly, and no root system is closed.  `involution_graph`
-is the packed matrix of a finite group's graph on the walk's involutions,
-and every pair scan of the evidence reports reads it a whole block of pairs
-at a time; no evidence report enumerates a ball.
+only the roots that occur in its vertices' N-sets: `root_columns` keys
+those root vectors directly, once per graph, and no root system is closed.
+`involution_graph` is the packed matrix of a finite group's graph on the
+walk's involutions, over the roots that two N-sets share, and every pair
+scan of the evidence reports reads it a whole block of pairs at a time; no
+evidence report enumerates a ball.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count
@@ -65,7 +65,7 @@ from .coxeter import (
     pack_words,
     parse_group_spec,
 )
-from .graph import E0Graph, InvolutionSet, _pairwise_disjoint_rows, _set_bits
+from .graph import E0Graph, InvolutionSet, _pairwise_disjoint_rows
 
 MATRIX_KEY_DECIMALS = 6
 MATRIX_COLLISION_TOL = 1e-5
@@ -106,9 +106,6 @@ class MatrixElement:
     def is_involution(self):
         """w != 1 and w = w^-1, compared by key."""
         return bool(self.word) and self.inverse().key == self.key
-
-    def n_set_vectors(self):
-        return self.group.n_set_vectors([self.word])
 
     def sort_key(self):
         return (len(self.word), self.word)
@@ -264,80 +261,59 @@ class InfiniteCoxeterGroup(GeometricGroup):
         return MatrixElement(self, mat, tuple(word))
 
 
-class RootColumns:
-    """Columns for the roots of N-sets, keyed on their coordinates.
+def root_columns(vectors):
+    """The column of each root vector (the rows of a float array): two roots
+    share a column when their keys, `float_keys` at ROOT_KEY_DECIMALS, agree.
 
-    A root's key is its vector's `float_keys` at ROOT_KEY_DECIMALS, and its
-    column is the order in which that key was first added.  The simple roots
-    are added first, so the simple root of generator i is column i - 1.
-    Rounding must neither merge two roots nor split one: a key hit on a
-    vector more than ROOT_COLLISION_TOL from the column's vector, or two
-    columns whose vectors lie within it of each other, raises ToleranceError.
-    `add` takes a lock, so threads that share a ball agree on the columns.
+    Rounding must neither merge two roots nor split one: a vector more than
+    ROOT_COLLISION_TOL from the first vector on its key, or two columns whose
+    vectors lie within it of each other, raises ToleranceError.
     """
+    # the keys have one length, so the trailing zero bytes numpy ignores merge none
+    keys = np.array(float_keys(vectors, ROOT_KEY_DECIMALS))
+    _, first, cols = np.unique(keys, return_index=True, return_inverse=True)
+    roots = vectors[first]  # row c: the vector of column c
+    if len(cols) and np.abs(vectors - roots[cols]).max() > ROOT_COLLISION_TOL:
+        raise ToleranceError("root key collision between distinct roots")
+    _check_split(roots)
+    return cols
 
-    def __init__(self, rank):
-        self.index = {}  # key -> column
-        self.vectors = np.empty((0, rank))  # row c: the vector of column c
-        # a fixed positive direction in general position for the split test:
-        # 1 + frac(k * golden ratio), k = 1..rank
-        self._direction = 1.0 + np.modf(np.arange(1, rank + 1) * (1 + 5 ** 0.5) / 2)[0]
-        self._lock = threading.Lock()
-        self.add(np.eye(rank))
 
-    def __len__(self):
-        return len(self.index)
+def _split_direction(rank):
+    """The split test's positive direction: 1 + frac(k * golden ratio), k = 1..rank."""
+    return 1.0 + np.modf(np.arange(1, rank + 1) * (1 + 5 ** 0.5) / 2)[0]
 
-    def add(self, vectors):
-        """The column of each root vector (the rows), as an index array; a
-        root not seen before gets the next free column."""
-        vectors = np.asarray(vectors, dtype=float).reshape(-1, self.vectors.shape[1])
-        keys = float_keys(vectors, ROOT_KEY_DECIMALS)
-        new = {}  # key -> column, for the roots not seen before
-        with self._lock:
-            cols = np.array([
-                self.index[k] if k in self.index else new.setdefault(k, len(self) + len(new))
-                for k in keys
-            ], dtype=np.intp)
-            _, first = np.unique(cols, return_index=True)  # the new columns sort last
-            stacked = np.concatenate([self.vectors, vectors[first[len(first) - len(new):]]])
-            if len(cols) and np.abs(vectors - stacked[cols]).max() > ROOT_COLLISION_TOL:
-                raise ToleranceError("root key collision between distinct roots")
-            if new:
-                self._check_split(stacked)
-            self.index.update(new)
-            self.vectors = stacked
-        return cols
 
-    def _check_split(self, vectors):
-        """Raise when two rows lie within ROOT_COLLISION_TOL (max norm).
+def _check_split(vectors):
+    """Raise when two rows lie within ROOT_COLLISION_TOL (max norm).
 
-        Such rows project onto the direction d at most tol * |d|_1 apart.
-        So after sorting the projections only pairs whose gap is within
-        that bound are compared, and offset k + 1 is tried only while some
-        pair at offset k still is.
-        """
-        proj = vectors @ self._direction
-        order = np.argsort(proj, kind="stable")
-        p, v = proj[order], vectors[order]
-        window = ROOT_COLLISION_TOL * self._direction.sum()
-        for k in range(1, len(p)):
-            near = np.flatnonzero(p[k:] - p[:-k] <= window)
-            if not len(near):
-                break
-            if (np.abs(v[near + k] - v[near]).max(axis=1) <= ROOT_COLLISION_TOL).any():
-                raise ToleranceError("root key split: two columns hold one root")
+    Such rows project onto the direction d of `_split_direction` at most
+    tol * |d|_1 apart.  So after sorting the projections only pairs whose
+    gap is within that bound are compared, and offset k + 1 is tried only
+    while some pair at offset k still is.
+    """
+    direction = _split_direction(vectors.shape[1])
+    proj = vectors @ direction
+    order = np.argsort(proj, kind="stable")
+    p, v = proj[order], vectors[order]
+    window = ROOT_COLLISION_TOL * direction.sum()
+    for k in range(1, len(p)):
+        near = np.flatnonzero(p[k:] - p[:-k] <= window)
+        if not len(near):
+            break
+        if (np.abs(v[near + k] - v[near]).max(axis=1) <= ROOT_COLLISION_TOL).any():
+            raise ToleranceError("root key split: two columns hold one root")
 
 
 class Ball:
-    """All elements of length <= radius, with exact N-set adjacency.
+    """All elements of length <= radius, and the graph on its involutions.
 
     The members are held as arrays in (length, word) order: `mats` stacks
     their matrices, and member p is member `_parent[p]` times generator
     `_gen[p]` (the identity, at position 0, has neither).  `index` maps
     each member's key to its position.  Words are read by walking parent
-    positions; `elements` and `by_key` are built on first use, and the
-    involutions (one walk at the ball's radius) and `graph` on them too.
+    positions; `elements` is built on first use, and the involutions (one
+    walk at the ball's radius) and `graph` on them too.
     """
 
     def __init__(self, group, radius, index, layers):
@@ -369,16 +345,6 @@ class Ball:
         return list(map(MatrixElement, [self.group] * len(words), self.mats, words, self.index))
 
     @cached_property
-    def by_key(self):
-        """key -> member of `elements`, built on first use."""
-        return {e.key: e for e in self.elements}
-
-    @cached_property
-    def _columns(self):
-        """The `RootColumns` of the N-sets passed through `n_set`."""
-        return RootColumns(self.group.rank)
-
-    @cached_property
     def _involutions(self):
         return walk_involutions(self.group, self.radius)
 
@@ -399,27 +365,6 @@ class Ball:
         `walk_involutions`: the vertices of `graph`, which is not built
         for them."""
         return self._involutions
-
-    def n_set(self, elem):
-        """N(elem) as columns of `_columns`; raises ToleranceError when elem,
-        by its matrix key, is not a member of the ball."""
-        if elem not in self:
-            raise ToleranceError(f"{elem!r} escaped the ball (radius {self.radius})")
-        return frozenset(self._columns.add(elem.n_set_vectors()).tolist())
-
-    def is_adjacent(self, x, y):
-        """Exact edge test for involutions in the ball."""
-        g = self.graph
-        return g.has_edge(g.vertices.index_of(x), g.vertices.index_of(y))
-
-    def common_neighbors(self, x, y):
-        """The involutions of the ball adjacent to both x and y, in order.
-
-        x and y never pass: no vertex is its own neighbour.
-        """
-        g = self.graph
-        both = g.rows[g.vertices.index_of(x)] & g.rows[g.vertices.index_of(y)]
-        return [g.vertices.elements[j] for j in _set_bits(both).tolist()]
 
 
 def _first_on_each_key(cand, registry, held):
@@ -566,14 +511,16 @@ def involution_graph(group, radius):
 
 def _graph_on(group, invs, radius):
     """The excess-zero graph on the involutions `invs` of a ball of the
-    given radius, in their order.  Its N-set columns are a `RootColumns` of
-    its own, which the involutions' N-set roots all join in one call.  Many
-    of those roots lie in one N-set only, and `_pairwise_disjoint_rows`
-    drops them: its cost grows with the roots two N-sets share."""
-    columns = RootColumns(group.rank)
-    cols = columns.add(group.n_set_vectors([z.word for z in invs]))
-    member = np.zeros((len(invs), len(columns)), dtype=bool)
-    member[np.repeat(np.arange(len(invs)), [z.length for z in invs]), cols] = True
+    given radius, in their order.  Their N-set roots get columns in one
+    `root_columns` call, and only the roots that two or more N-sets hold are
+    packed: a root in one N-set meets no other (`_pairwise_disjoint_rows`
+    drops it too), and the bool matrix to pack spans the shared roots only."""
+    cols = root_columns(group.n_set_vectors([z.word for z in invs]))
+    owner = np.repeat(np.arange(len(invs)), [z.length for z in invs])
+    held = np.bincount(cols) > 1  # the columns of the shared roots
+    shared = held[cols]
+    member = np.zeros((len(invs), np.count_nonzero(held)), dtype=bool)
+    member[owner[shared], (np.cumsum(held) - 1)[cols[shared]]] = True
     rows = _pairwise_disjoint_rows(pack_words(member))
     return E0Graph(group, InvolutionSet(group, invs), rows, radius)
 

@@ -223,6 +223,34 @@ def test_custom_json_group(capsys, tmp_path):
     assert out.strip() == "0^1.1^2.2^2"
 
 
+@pytest.mark.parametrize("text", [
+    '{"rank": 2}',
+    "[[1, 4], [4, 1]]",
+    '{"m": [[1, null], [null, 1]]}',
+    '{"m": [[1, 3.7], [3.7, 1]]}',  # int() would read a bond of 3
+], ids=["no-m", "list", "null", "float"])
+def test_malformed_json_group_is_an_error(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "valency", "-g", str(path))
+    assert code == 2 and out == ""
+    assert err == f'error: {path}: expected an object with an "m" list of integer rows\n'
+
+
+def test_missing_json_group_is_an_error(capsys, tmp_path):
+    path = tmp_path / "missing.json"
+    code, out, err = run(capsys, "valency", "-g", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(path) in err
+
+
+def test_cosets_exclude_out_of_range(capsys):
+    code, out, err = run(capsys, "cosets", "-g", "A3", "--exclude", "9")
+    assert code == 2 and out == ""
+    assert "generator index 9 out of range" in err
+    assert run(capsys, "cosets", "-g", "A3", "--parabolic", "1,7")[0] == 2
+
+
 def test_module_entry_point_runs_without_warnings():
     # importing the package must not import e0graph.cli, or `python -m
     # e0graph.cli` warns that the module was already in sys.modules

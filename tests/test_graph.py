@@ -21,6 +21,7 @@ from e0graph.coxeter import (
     SpecError,
     _iter_bits,
     format_word,
+    generate_root_system,
     pack_words,
 )
 from e0graph.infinite import InfiniteCoxeterGroup, enumerate_ball
@@ -241,17 +242,23 @@ def _n_set_case(case):
     if case == "unshared":  # 0 and 3 hold only roots no other N-set holds
         nbits = [0b1, 0b110, 0b1100, 0b110000 | 1 << 70, 0b1000]
     elif " r" in case:
+        # a ball's N-sets as indices of a root system closed to its radius,
+        # independent of the columns that the ball's own graph keys
         label, radius = case.split(" r")
-        ball = enumerate_ball(
-            InfiniteCoxeterGroup(CoxeterMatrix([[1, 3, 7], [3, 1, 3], [7, 3, 1]]))
-            if label == "337" else InfiniteCoxeterGroup.from_spec(label), int(radius))
-        nbits = [sum(1 << c for c in ball.n_set(z)) for z in ball.involutions()]
+        grp = (InfiniteCoxeterGroup(CoxeterMatrix([[1, 3, 7], [3, 1, 3], [7, 3, 1]]))
+               if label == "337" else InfiniteCoxeterGroup.from_spec(label))
+        roots = generate_root_system(grp.matrix, max_depth=int(radius))
+        nbits = [sum(1 << p for p in roots.indices_of(grp.n_set_vectors([z.word])))
+                 for z in enumerate_ball(grp, int(radius)).involutions()]
     else:
         grp = group(case)
         perms = [e.perm for e in enumerate_involutions(grp)]
         return [grp._n_bits(p) for p in perms], grp.n_set_words(perms)
     width = max(nbits).bit_length()
-    member = np.array([[b >> p & 1 for p in range(width)] for b in nbits], dtype=bool)
+    nbytes = -(-width // 8)
+    raw = np.frombuffer(b"".join(b.to_bytes(nbytes, "little") for b in nbits), np.uint8)
+    member = np.unpackbits(raw.reshape(len(nbits), nbytes), axis=1, count=width,
+                           bitorder="little").astype(bool)
     return nbits, pack_words(member)
 
 

@@ -4,7 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
-import threading
+import tracemalloc
 from itertools import count
 from pathlib import Path
 
@@ -13,9 +13,11 @@ import pytest
 
 from e0graph import cli, graph, infinite
 from e0graph.coxeter import (
+    ROOT_KEY_DECIMALS,
     CoxeterMatrix,
     SpecError,
     ToleranceError,
+    float_keys,
     generate_root_system,
     pack_words,
     parse_group_spec,
@@ -170,7 +172,7 @@ def test_one_canonical_word_across_constructors(group, radius):
     for e in ball.elements:
         assert group.element_from_word(e.word).word == e.word
         inv = e.inverse()
-        assert inv.word == ball.by_key[inv.key].word
+        assert inv.word == ball.elements[ball.index[inv.key]].word
 
 
 def test_peel_guards(monkeypatch):
@@ -342,7 +344,7 @@ def test_members_are_built_on_demand(monkeypatch):
     assert len(built) == 2 * len(invs) + 2
     assert [e.word for e in ball.elements] == ref_words
     assert len(built) == 2 * len(invs) + 2 + len(ball)
-    assert all(ball.by_key[e.key] is e for e in ball.elements)
+    assert all(ball.elements[ball.index[e.key]] is e for e in ball.elements)
     assert all(ball.elements[ball.index[z.key]].word == z.word for z in invs)
 
 
@@ -374,7 +376,7 @@ def test_ball_matrices_match_single_element_path():
     for e in ball.elements:
         single = group.element_from_word(e.word)
         assert np.array_equal(single.mat, e.mat)  # bit for bit
-        assert single.key == e.key and ball.by_key[single.key] is e
+        assert single.key == e.key and ball.elements[ball.index[single.key]] is e
 
 
 def test_balls_close_no_root_system(monkeypatch):
@@ -387,9 +389,11 @@ def test_balls_close_no_root_system(monkeypatch):
     monkeypatch.setattr(infinite, "generate_root_system", counted)
     ball = enumerate_ball(u(3), 6)
     assert ball.graph.edge_count()
-    x = ball.involutions()[0]
-    assert ball.n_set(x) == {x.word[0] - 1}
-    assert all(len(ball.n_set(e)) == e.length for e in ball.elements)
+    # every member's N-set keyed: a member of length l holds l roots
+    words = [e.word for e in ball.elements]
+    cols = infinite.root_columns(u(3).n_set_vectors(words))
+    n_sets = np.split(cols, np.cumsum(list(map(len, words)))[:-1])
+    assert all(len(set(c.tolist())) == len(w) for c, w in zip(n_sets, words))
     assert ball_graph_diameter_evidence(u(3), 4).ok
     assert product_diameter_check(("U3", "U3"), 3).ok
     assert calls == []
@@ -414,10 +418,12 @@ def test_root_columns_match_root_system(group, radius):
     vectors = group.n_set_vectors([e.word for e in ball.elements])
     cuts = np.cumsum([e.length for e in ball.elements])[:-1]
     indices = [roots.indices_of(v) for v in np.split(vectors, cuts)]
-    n_sets = [frozenset(c) for c in np.split(ball._columns.add(vectors).tolist(), cuts)]
+    cols = infinite.root_columns(vectors)
+    n_sets = [frozenset(c) for c in np.split(cols.tolist(), cuts)]
     # one root-system index per column, and no index for two columns
-    by_column = roots.indices_of(ball._columns.vectors)
-    assert by_column[: group.rank] == list(range(group.rank))
+    _, first = np.unique(cols, return_index=True)
+    by_column = roots.indices_of(vectors[first])
+    assert len(by_column) == cols.max() + 1
     assert None not in by_column and len(set(by_column)) == len(by_column)
     assert all(p < roots.pos_count for p in by_column)
     for n_set, idx in zip(n_sets, indices):
@@ -427,64 +433,50 @@ def test_root_columns_match_root_system(group, radius):
     invs = ball.involutions()
     member = np.zeros((len(invs), roots.pos_count), dtype=bool)
     for v, z in enumerate(invs):
-        member[v, roots.indices_of(z.n_set_vectors())] = True
+        member[v, roots.indices_of(group.n_set_vectors([z.word]))] = True
     assert np.array_equal(rows, graph._pairwise_disjoint_rows(pack_words(member)))
-
-
-def test_threads_sharing_a_ball_agree_on_columns():
-    ball = enumerate_ball(u(4), 4)
-    members = ball.elements[::-1]
-    out = [None] * 4
-
-    def work(t):
-        out[t] = [ball.n_set(e) for e in members[t % 2 :: 2]]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    columns = ball._columns
-    assert len(columns.vectors) == len(columns) == len(set(columns.index.values()))
-    assert out[0] == out[2] and out[1] == out[3]
-    for t in (0, 1):
-        assert all(len(n) == e.length for n, e in zip(out[t], members[t::2]))
 
 
 def test_root_key_split_aborts():
     # 5e-7 apart, on either side of a rounding boundary: two keys, one root
-    near = [[2.0000004, 1.0], [2.0000009, 1.0]]
+    near = np.array([[2.0000004, 1.0], [2.0000009, 1.0]])
     with pytest.raises(ToleranceError, match="split"):
-        infinite.RootColumns(2).add(near)
-    columns = infinite.RootColumns(2)
-    assert columns.add(near[:1]).tolist() == [2]
-    with pytest.raises(ToleranceError, match="split"):
-        columns.add(near[1:])
-    assert len(columns) == 3  # the refused root took no column
-    assert columns.add([[0.0, 1.0], near[0], [1.0, 0.0]]).tolist() == [1, 2, 0]
+        infinite.root_columns(near)
+    # one column per key, also for keys that end in zero bytes
+    ok = np.array([[0.0, 1.0], near[0], [1.0, 0.0], near[0], [0.0, 0.0]])
+    cols = infinite.root_columns(ok).tolist()
+    assert cols[1] == cols[3] and sorted(set(cols)) == [0, 1, 2, 3]
     # a far root whose projection falls between the two: still caught
-    d = columns._direction
+    d = infinite._split_direction(2)
     between = [near[0][0] + 1.0, 1.0 - d[0] * (1.0 - 2.5e-7) / d[1]]
     with pytest.raises(ToleranceError, match="split"):
-        infinite.RootColumns(2).add([near[0], between, near[1]])
+        infinite.root_columns(np.array([near[0], between, near[1]]))
 
 
 def test_root_key_collision_aborts(monkeypatch):
     # every key hit now counts as two roots on one key
-    ball = enumerate_ball(InfiniteCoxeterGroup(AFFINE_A2), 4)
-    x = ball.elements[1]
-    ball.n_set(x)
+    group = InfiniteCoxeterGroup(AFFINE_A2)
+    assert infinite.involution_graph(group, 4).edge_count()
     monkeypatch.setattr(infinite, "ROOT_COLLISION_TOL", -1.0)
     with pytest.raises(ToleranceError, match="collision"):
-        ball.n_set(x)
-    with pytest.raises(ToleranceError, match="collision"):
-        ball.graph
+        infinite.involution_graph(group, 4)
+
+
+def test_ball_graph_holds_no_dense_root_membership():
+    # a V x (distinct N-set roots) bool array would take 5.8 MB here; the
+    # graph packs only the roots that two N-sets share
+    group = InfiniteCoxeterGroup(H337)
+    invs = infinite.walk_involutions(group, 24)
+    vectors = group.n_set_vectors([z.word for z in invs])
+    roots = len(set(float_keys(vectors, ROOT_KEY_DECIMALS)))
+    assert (len(invs), roots) == (868, 6636)
+    tracemalloc.start()
+    try:
+        g = infinite.involution_graph(group, 24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g) == len(invs) and peak < len(invs) * roots
 
 
 def test_key_collision_aborts(monkeypatch):
@@ -567,12 +559,11 @@ def test_universal_neighborhood_examples():
 def test_universal_neighborhood_matches_direct_adjacency():
     for n, L in [(2, 6), (3, 4)]:
         grp = u(n)
-        ball = enumerate_ball(grp, L)
-        invs = ball.involutions()
-        for x in invs:
-            rule = words(universal_neighborhood(x, ball.graph))
-            direct = {z.word for z in invs
-                      if z.key != x.key and ball.is_adjacent(x, z)}
+        g = enumerate_ball(grp, L).graph
+        invs = list(g.vertices)
+        for i, x in enumerate(invs):
+            rule = words(universal_neighborhood(x, g))
+            direct = {z.word for j, z in enumerate(invs) if g.has_edge(i, j)}
             assert rule == direct
 
 
@@ -589,25 +580,21 @@ def test_dihedral_families_share_neighbourhoods():
     # involutions split into words ending in 1 and words ending in 2; each
     # member of one family is adjacent to exactly the other family
     grp = u(2)
-    ball = enumerate_ball(grp, 7)
-    invs = ball.involutions()
-    fam = {1: [x for x in invs if x.word[-1] == 1],
-           2: [x for x in invs if x.word[-1] == 2]}
-    for last, members in fam.items():
-        other = fam[3 - last]
-        for x in members:
-            nbrs = {z.word for z in invs if z.key != x.key and ball.is_adjacent(x, z)}
-            assert nbrs == {z.word for z in other}
+    g = enumerate_ball(grp, 7).graph
+    invs = list(g.vertices)
+    for i, x in enumerate(invs):
+        nbrs = {z.word for j, z in enumerate(invs) if g.has_edge(i, j)}
+        assert nbrs == {z.word for z in invs if z.word[-1] != x.word[-1]}
 
 
 def test_ball_involutions_touch_generators():
     # any involution of length <= L-1 is adjacent to some generator
     for grp, L in [(u(2), 6), (u(3), 5)]:
-        ball = enumerate_ball(grp, L)
-        gens = [grp.element_from_word((i,)) for i in grp.generators]
-        for x in ball.involutions():
+        g = enumerate_ball(grp, L).graph
+        gens = [g.vertices.index_of(grp.element_from_word((i,))) for i in grp.generators]
+        for v, x in enumerate(g.vertices):
             if x.length <= L - 1:
-                assert any(ball.is_adjacent(x, g) for g in gens if g.key != x.key)
+                assert any(g.has_edge(v, k) for k in gens)
 
 
 def test_ball_degrees_monotone_in_radius():
@@ -616,14 +603,6 @@ def test_ball_degrees_monotone_in_radius():
     big = enumerate_ball(grp, 5).graph
     for i, x in enumerate(small.vertices):
         assert big.degree(big.vertices.index_of(x)) >= small.degree(i)
-
-
-def test_nset_depth_escape_detected():
-    grp = u(2)
-    ball = enumerate_ball(grp, 2)
-    deep = grp.element_from_word((1, 2, 1, 2, 1, 2, 1))
-    with pytest.raises(ToleranceError):
-        ball.n_set(deep)
 
 
 def test_stored_words_are_reduced():
@@ -708,18 +687,6 @@ def test_ball_graph_matches_length_definition(monkeypatch, group, radius, chunk)
     for i, x in enumerate(invs):
         for j, y in enumerate(invs):
             assert g.has_edge(i, j) == ((x * y).length == x.length + y.length)
-
-
-def test_common_neighbors_match_pairwise_adjacency():
-    ball = enumerate_ball(u(3), 5)
-    invs = ball.involutions()
-    for i, x in enumerate(invs[:40]):
-        for y in invs[i + 1 :]:
-            want = [
-                z for z in invs
-                if z not in (x, y) and ball.is_adjacent(x, z) and ball.is_adjacent(y, z)
-            ]
-            assert ball.common_neighbors(x, y) == want
 
 
 def test_infinite_bond_parabolics_close_no_roots(monkeypatch):
