@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,7 +53,10 @@ class CoxeterMatrix:
     """Symmetric matrix of bond orders m_ij; entry 0 encodes infinity."""
 
     def __init__(self, entries):
-        entries = tuple(tuple(int(x) for x in row) for row in entries)
+        try:  # int() would read a bond of 3.7 as 3
+            entries = tuple(tuple(map(operator.index, row)) for row in entries)
+        except TypeError:
+            raise SpecError("Coxeter matrix entries must be integers") from None
         n = len(entries)
         if n == 0:
             raise SpecError("empty Coxeter matrix")

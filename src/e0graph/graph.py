@@ -113,12 +113,6 @@ def enumerate_involutions(group):
     return invset
 
 
-def is_adjacent(x, y):
-    """Edge test: N(x) and N(y) disjoint (x, y involutions, x != y)."""
-    g = x.group
-    return g._n_bits(x.perm) & g._n_bits(y.perm) == 0
-
-
 class E0Graph:
     """The graph itself: the involution vertices and the adjacency matrix
     `rows`; `radius` is the radius of a ball's graph, None for a finite group's."""

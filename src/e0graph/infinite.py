@@ -4,32 +4,36 @@ Elements are stored as (matrix of the reflection representation, lexmin
 word).  The lexmin word is the lexicographically least reduced word:
 `reduce_word` peels it off the matrix of w^-1 one smallest left descent at a
 time.  A column is negative by `coxeter.negative`, the sign of its
-coefficient sum, which rounding noise cannot flip.  Matrices are
-deduplicated on entries rounded to 1e-6, with a hard failure if two
-matrices land on one key while differing by more than 1e-5.  Right
-multiplication by a generator s is the rank-one update
-M - 2 M[:, s-1] <a_s, .>, O(n^2) per element, on single matrices and on
-stacks alike, so a matrix stepped along the same word is bit-identical on
-every path.
+coefficient sum, which rounding noise cannot flip.  Right multiplication by
+a generator s is the rank-one update M - 2 M[:, s-1] <a_s, .>, O(n^2) per
+element, on single matrices and on stacks alike, so a matrix stepped along
+the same word is bit-identical on every path, and so is its key (its
+entries rounded to 1e-6).
 
 Two producers work one length layer at a time on (F, n, n) float64 stacks.
+Neither compares keys: each is a reverse search (Avis-Fukuda 1996), in
+which every element has one canonical parent, fixed by its least descent,
+and a candidate is kept only when it is stepped from that parent.  So no
+two kept candidates are one element, and every test is a root sign, with
+the sign rule's margin of 1.
 
 * `walk_involutions` produces the vertex set: the involutions of length
   <= R and nothing else.  It is the ascending twisted-involution walk of
   the finite groups (Richardson-Springer 1990; Hultman 2005) cut at length
   R: from an involution x and an ascent s, the next involution is xs when
-  x . a_s = a_s, and sxs otherwise.  Each layer's lexmin words are peeled
-  off its own matrices (w^-1 = w for an involution), and each involution's
-  matrix is then rebuilt along its word, so its key is that of
-  `element_from_word`.  The (3,3,7) radius-20 ball holds 70,690 elements,
-  of which the walk visits only the 347 involutions.
+  x . a_s = a_s, and sxs otherwise, and it is kept when s is its least
+  descent.  Each layer's lexmin words are peeled off its own matrices
+  (w^-1 = w), and each involution's matrix is then rebuilt along its word,
+  so its key is that of `element_from_word`.  The (3,3,7) radius-20 ball
+  holds 70,690 elements, of which the walk visits only the 347 involutions.
 * `enumerate_ball` produces every element of length <= R, for element
-  counts: a BFS that steps each member by each of its ascents, keeps the
-  first candidate on each key, and so stores the lexmin word.  A layer
-  stays arrays: the matrices, and for each member the position of its
-  parent and the generator that extends it.  A `Ball` builds words by
-  walking parent positions, and `MatrixElement`s only on first access to
-  `Ball.elements`; its involutions and graph come from the walk.
+  counts.  It carries the matrices of its members' inverses, steps each
+  member w to s w for each left ascent s, and keeps s w when s is its
+  least left descent; s followed by w's lexmin word is then the lexmin
+  word of s w, with no peel.  A layer stays two arrays: for each member
+  the position of its parent and its first letter.  A `Ball` builds words
+  by walking parent positions, and matrices and `MatrixElement`s only on
+  first use; its involutions and graph come from the walk.
 
 Two involutions are adjacent when l(xy) = l(x) + l(y), that is when N(x)
 and N(y) are disjoint (Bjorner-Brenti, GTM 231, ch. 4), so a graph needs
@@ -46,7 +50,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count
+from itertools import chain
 
 import numpy as np
 
@@ -65,6 +69,7 @@ from .coxeter import (
     pack_words,
     parse_group_spec,
 )
+from . import graph as gr
 from .graph import E0Graph, InvolutionSet, _pairwise_disjoint_rows
 
 MATRIX_KEY_DECIMALS = 6
@@ -200,7 +205,7 @@ class InfiniteCoxeterGroup(GeometricGroup):
 
     def element_from_word(self, word):
         """Element with the given letters; the stored word is its lexmin word,
-        and its matrix is stepped along that word, as in `enumerate_ball`."""
+        and its matrix is stepped along that word, as in `Ball.mats`."""
         word = self.reduce_word(word)
         return MatrixElement(self, self._word_mat(word), word)
 
@@ -308,41 +313,49 @@ def _check_split(vectors):
 class Ball:
     """All elements of length <= radius, and the graph on its involutions.
 
-    The members are held as arrays in (length, word) order: `mats` stacks
-    their matrices, and member p is member `_parent[p]` times generator
-    `_gen[p]` (the identity, at position 0, has neither).  `index` maps
-    each member's key to its position.  Words are read by walking parent
-    positions; `elements` is built on first use, and the involutions (one
-    walk at the ball's radius) and `graph` on them too.
+    The members are held as two arrays in (length, word) order: member p is
+    generator `_gen[p]` times member `_parent[p]`, and its lexmin word is
+    that letter followed by the parent's (the identity, at position 0, has
+    neither).  Words are read by walking parent positions.  `mats` and
+    `elements` are built on first use, each matrix stepped along its word
+    as `element_from_word` steps it; so are the involutions (one walk at
+    the ball's radius) and `graph` on them.
     """
 
-    def __init__(self, group, radius, index, layers):
-        """`index`: key -> position; `layers`: per BFS layer, the arrays
-        (matrices, parent positions, generators)."""
+    def __init__(self, group, radius, layers):
+        """`layers`: per length, the arrays (parent positions, generators)."""
         self.group = group
         self.radius = radius
-        self.index = index
-        self.mats, self._parent, self._gen = map(np.concatenate, zip(*layers))
-        self.mats.flags.writeable = False
+        self._parent, self._gen = map(np.concatenate, zip(*layers))
         self._starts = np.cumsum([0] + [len(layer[0]) for layer in layers]).tolist()
 
-    def _words(self):
-        """Every member's word, one length at a time, walking parent
-        positions back to the identity."""
-        words = []
+    def _letters(self):
+        """Per length l, the (members, l) array of its members' words, read
+        by walking parent positions back to the identity."""
         for length, (lo, hi) in enumerate(zip(self._starts, self._starts[1:])):
             p, letters = np.arange(lo, hi), []
             for _ in range(length):
                 letters.append(self._gen[p])
                 p = self._parent[p]
-            words += map(tuple, np.reshape(letters[::-1], (length, hi - lo)).T.tolist())
-        return words
+            yield np.reshape(letters, (length, hi - lo)).T
+
+    @cached_property
+    def mats(self):
+        """Every member's matrix, stepped along its word from the identity."""
+        mats = np.repeat(self.group.identity_mat[None], len(self), axis=0)
+        for lo, letters in zip(self._starts, self._letters()):
+            hi = lo + len(letters)
+            for s in letters.T - 1:
+                mats[lo:hi] = self.group._mul_gens(mats[lo:hi], s)
+        mats.flags.writeable = False
+        return mats
 
     @cached_property
     def elements(self):
         """Every member in (length, word) order, built on first use."""
-        words = self._words()
-        return list(map(MatrixElement, [self.group] * len(words), self.mats, words, self.index))
+        words = [tuple(w) for letters in self._letters() for w in letters.tolist()]
+        keys = _mat_keys(self.mats)
+        return list(map(MatrixElement, [self.group] * len(words), self.mats, words, keys))
 
     @cached_property
     def _involutions(self):
@@ -355,10 +368,10 @@ class Ball:
         return _graph_on(self.group, self._involutions, self.radius)
 
     def __len__(self):
-        return len(self.index)
+        return self._starts[-1]
 
     def __contains__(self, elem):
-        return elem.key in self.index
+        return elem.group is self.group and elem.length <= self.radius
 
     def involutions(self):
         """Members w != 1 with w = w^-1, in (length, word) order, from
@@ -367,65 +380,43 @@ class Ball:
         return self._involutions
 
 
-def _first_on_each_key(cand, registry, held):
-    """(keys, keep): the key of every candidate matrix, and the ascending
-    positions of the first candidate on each key that `registry` does not
-    hold.
-
-    A key hit on a matrix that differs by more than MATRIX_COLLISION_TOL
-    aborts; only real hits are compared, never a candidate with itself.
-    `registry` maps the keys held already to their rows of `held()`, the
-    stacked matrices, which is built only on a hit there: the callers step
-    only ascents, so such a hit is float error alone.
-    """
-    keys = _mat_keys(cand)
-    n = len(keys)
-    first = dict(zip(reversed(keys), range(n - 1, -1, -1)))  # key -> first candidate
-    hits, prev = [], []  # the candidates on a key already held, and its matrix
-    if len(first) < n:  # a key reached twice among the candidates
-        j = np.fromiter(map(first.__getitem__, keys), np.intp, n)
-        hits.append(np.flatnonzero(j != np.arange(n)))
-        prev.append(cand[j[hits[-1]]])
-    if not registry.keys().isdisjoint(first):
-        hits.append(np.array([c for c, k in enumerate(keys) if k in registry]))
-        prev.append(held()[[registry[keys[c]] for c in hits[-1].tolist()]])
-        for k in registry.keys() & first.keys():
-            del first[k]
-    if hits:
-        gap = np.abs(cand[np.concatenate(hits)] - np.concatenate(prev)).max()
-        if gap > MATRIX_COLLISION_TOL:
-            raise ToleranceError("matrix key collision between distinct elements")
-    return keys, np.sort(np.fromiter(first.values(), np.intp, len(first)))
-
-
 def enumerate_ball(group, radius):
-    """All elements of length <= radius, one BFS layer at a time.
+    """All elements of length <= radius, one length at a time, by reverse
+    search over the left weak order.
 
-    A layer steps every frontier matrix by each generator that lengthens
-    it, in (frontier element, generator) order.  The first candidate on a
-    key wins (`_first_on_each_key`), so every stored word is the
-    shortlex-least reduced word, the lexmin word of `reduce_word`, and the
-    elements come out in (length, word) order.
+    A layer holds the matrices of its members' inverses, so the left
+    ascents s of a member w are the columns of w^-1 with a positive sum,
+    and (s w)^-1 = w^-1 s is one `_mul_gens` step.  s w is kept only when s
+    is its least left descent, the least negative column of (s w)^-1: so
+    every element is kept once, from one parent, and no candidate is
+    compared with another.  Its lexmin word is s followed by w's, so the
+    candidates, taken in (s, w) order, come out in (length, word) order.
+
+    A layer whose candidate stack would take more than
+    `graph.ADJACENCY_BUDGET` bytes raises SpecError before it is allocated.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    mats = group.identity_mat[None]
-    registry = dict.fromkeys(_mat_keys(mats), 0)  # key -> position in the ball
+    inv = group.identity_mat[None]  # the matrices of the layer's inverses
     zero = np.zeros(1, dtype=np.intp)
-    layers = [(mats, zero, zero)]
-    for _ in range(radius):
-        f, g = np.nonzero(~negative(mats, axis=1))  # l(ws) > l(w)
+    layers = [(zero, zero)]
+    start = 0  # the position of the layer's first member
+    for length in range(1, radius + 1):
+        g, f = np.nonzero(~negative(inv, axis=1).T)  # l(s w) > l(w), in (s, w) order
         if not len(f):
             break
-        cand = group._mul_gens(mats[f], g)
-        keys, keep = _first_on_each_key(
-            cand, registry, lambda: np.concatenate([layer[0] for layer in layers])
-        )
-        base = len(registry)
-        registry.update(zip(map(keys.__getitem__, keep.tolist()), count(base)))
-        mats = cand[keep]
-        layers.append((mats, f[keep] + (base - len(layers[-1][0])), g[keep] + 1))
-    return Ball(group, radius, registry, layers)
+        need = len(f) * group.rank ** 2 * 8
+        if need > gr.ADJACENCY_BUDGET:
+            raise SpecError(
+                f"the ball's length-{length} candidates need {need} bytes, more "
+                f"than ADJACENCY_BUDGET ({gr.ADJACENCY_BUDGET} bytes)"
+            )
+        cand = group._mul_gens(inv[f], g)
+        keep = negative(cand, axis=1).argmax(axis=1) == g
+        layers.append((f[keep] + start, g[keep] + 1))
+        start += len(inv)
+        inv = cand[keep]
+    return Ball(group, radius, layers)
 
 
 def _lexmin_involutions(group, layers):
@@ -440,7 +431,8 @@ def _lexmin_involutions(group, layers):
     shortens by exactly one, so a matrix with no descent before its length,
     or one left after it, raises ToleranceError: the sign rule's margin of 1
     makes that test free of the entries' scale.  Two matrices peeling to one
-    word are one element split over two keys, and raise too.
+    word are one element kept twice, and raise too: that guards the walk's
+    one-parent rule.
     """
     R = len(layers)
     lengths = np.repeat(np.arange(1, R + 1), [len(m) for m in layers])
@@ -457,7 +449,7 @@ def _lexmin_involutions(group, layers):
         raise ToleranceError("peeling descents outgrew the length")
     letters = letters[np.lexsort([*letters.T[::-1], lengths])]
     if (letters[1:] == letters[:-1]).all(axis=1).any():
-        raise ToleranceError("matrix key split: one element on two keys")
+        raise ToleranceError("walk split: two matrices peel to one word")
     mats[:] = group.identity_mat
     for t, a in enumerate(starts.tolist()):
         mats[a:] = group._mul_gens(mats[a:], letters[a:, t])
@@ -472,35 +464,36 @@ def walk_involutions(group, radius):
     key.
 
     The ascending twisted-involution walk, cut at `radius`: an ascent s of
-    an involution x is a column of positive sum, and the next involution is
-    xs, one longer, when x . a_s = a_s (compared on the key grid), and sxs,
-    two longer, otherwise.  Every involution is reached from the identity
-    this way (Richardson-Springer 1990; Hultman 2005), and nothing else is
-    visited.  The walk goes one length at a time, and a length's candidates
-    are deduplicated by key as in `enumerate_ball` (`_first_on_each_key`).
-    Words come last, for every length at once (`_lexmin_involutions`).
+    an involution x is a column of positive sum, and the next involution y
+    is xs, one longer, when x . a_s = a_s, and sxs, two longer, otherwise.
+    x . a_s = a_s exactly when s x . a_s is negative, since s keeps every
+    positive root but a_s positive.  Every involution is reached from the
+    identity this way (Richardson-Springer 1990; Hultman 2005), from each
+    of its descents, and nothing else is visited.  y is kept only when s is
+    its least descent, so it is kept once, as in `enumerate_ball`, and no
+    candidate is compared with another.  Words come last, for every length
+    at once (`_lexmin_involutions`), whose split check guards that rule.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     mats = group.identity_mat[None]
-    layers = [mats]
-    registry = dict.fromkeys(_mat_keys(mats), 0)  # key -> row of the stacked layers
-    sxs = mats[:0]  # the candidates two longer than the last layer
-    for length in range(1, radius + 1):
+    layers = []
+    sxs = mats[:0]  # the kept involutions two longer than the last layer
+    for _ in range(radius):
         f, s = np.nonzero(~negative(mats, axis=1))  # l(xs) > l(x)
-        xs = group._mul_gens(mats[f], s)
-        image = np.round(mats[f, :, s], MATRIX_KEY_DECIMALS)  # x . a_s on the key grid
-        fixed = (image == group.identity_mat[s]).all(axis=1)
-        cand = np.concatenate([sxs, xs[fixed]])
-        sxs, t = xs[~fixed], s[~fixed]  # sxs: row s of xs less 2 <a_s, .> xs
-        sxs[np.arange(len(t)), t] -= np.einsum("mk,mkj->mj", group._form2[t], sxs)
-        keys, keep = _first_on_each_key(cand, registry, lambda: np.concatenate(layers))
-        registry.update(zip(map(keys.__getitem__, keep.tolist()), count(len(registry))))
-        mats = cand[keep]
+        image = mats[f, :, s]  # x . a_s
+        image[np.arange(len(s)), s] -= np.einsum("mk,mk->m", group._form2[s], image)
+        fixed = negative(image)  # s x . a_s < 0, so x . a_s = a_s
+        y = group._mul_gens(mats[f], s)  # xs, and sxs (row s of xs less 2 <a_s, .> xs)
+        m = np.flatnonzero(~fixed)
+        y[m, s[m]] -= np.einsum("mk,mkj->mj", group._form2[s[m]], y[m])
+        keep = negative(y, axis=1).argmax(axis=1) == s  # s is y's least descent
+        mats = np.concatenate([sxs, y[keep & fixed]])
+        sxs = y[keep & ~fixed]
         layers.append(mats)
         if not len(mats) and not len(sxs):
             break
-    return _lexmin_involutions(group, layers[1:])
+    return _lexmin_involutions(group, layers)
 
 
 def involution_graph(group, radius):

@@ -117,6 +117,15 @@ def test_ball_exports_are_pinned(capsys, tmp_path):
         "b6d7af35ecec944fe359a83b7816bf9f30b0f2e3c88b3eaa384b45c9b3aeb5fe")
 
 
+def test_ball_counts_each_element_once(capsys, tmp_path):
+    # the growth series gives 443,217; a keyed dedupe once printed 443,219
+    path = tmp_path / "h337.json"
+    path.write_text(json.dumps({"rank": 3, "m": [[1, 3, 7], [3, 1, 3], [7, 3, 1]]}))
+    code, out, _ = run(capsys, "ball", "-g", str(path), "--radius", "24")
+    assert code == 0
+    assert " has 443217 elements, 868 involutions\n" in out
+
+
 def test_diameter_command(capsys):
     code, out, _ = run(capsys, "diameter", "-g", "B3")
     assert code == 0

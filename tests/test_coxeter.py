@@ -93,6 +93,10 @@ def test_matrix_validation():
         CoxeterMatrix([[2, 3], [3, 1]])  # bad diagonal
     with pytest.raises(SpecError):
         CoxeterMatrix([[1, 1], [1, 1]])  # off-diagonal below 2
+    for bad in (3.7, None, "3"):  # int() read 3.7 as 3 and "3" as 3
+        with pytest.raises(SpecError, match="must be integers"):
+            CoxeterMatrix([[1, bad], [bad, 1]])
+    assert CoxeterMatrix([[1, np.int64(3)], [3, 1]]).order(1, 2) == 3
 
 
 def test_matrix_json_roundtrip(tmp_path):

@@ -36,7 +36,6 @@ from e0graph.graph import (
     enumerate_involutions,
     excess,
     graph_distance,
-    is_adjacent,
     is_sequential,
     pendant_elements,
     pendant_report,
@@ -321,6 +320,13 @@ def test_build_packs_n_sets_in_one_call(monkeypatch):
     # valencies 0, 1, 1, 2, 2, ..., 32, 32
     assert build_graph(CoxeterGroup.from_spec("I2(65)")).edge_count() == 528
     assert build_graph(CoxeterGroup.from_spec("E7")).edge_count() == 360564
+
+
+def is_adjacent(x, y):
+    """The oracle edge test on Python ints: N(x) and N(y) disjoint (x, y
+    involutions of a finite group, x != y)."""
+    g = x.group
+    return g._n_bits(x.perm) & g._n_bits(y.perm) == 0
 
 
 def test_is_adjacent_examples():

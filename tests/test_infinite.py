@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from itertools import count
+from itertools import chain, combinations
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +14,7 @@ import pytest
 from e0graph import cli, graph, infinite
 from e0graph.coxeter import (
     ROOT_KEY_DECIMALS,
+    CoxeterGroup,
     CoxeterMatrix,
     SpecError,
     ToleranceError,
@@ -169,10 +170,11 @@ def test_peeling_lexmin_words_needs_the_sum_rule():
 ], ids=["337", "A2~"])
 def test_one_canonical_word_across_constructors(group, radius):
     ball = enumerate_ball(group, radius)
+    member = {e.word: e for e in ball.elements}
     for e in ball.elements:
         assert group.element_from_word(e.word).word == e.word
         inv = e.inverse()
-        assert inv.word == ball.elements[ball.index[inv.key]].word
+        assert member[inv.word].key == inv.key
 
 
 def test_peel_guards(monkeypatch):
@@ -276,28 +278,19 @@ def test_walk_counts_universal_involutions(n, radius):
         assert len(got) == 3069  # the formula and the generated words agree
 
 
-def test_walk_guards(monkeypatch):
+def test_walk_guards():
     with pytest.raises(ValueError):
         infinite.walk_involutions(u(3), -1)
     assert infinite.walk_involutions(u(3), 0) == []
-    # U3 has no braid relations, so no key is hit and nothing is compared
-    monkeypatch.setattr(infinite, "MATRIX_COLLISION_TOL", -1.0)
-    assert len(infinite.walk_involutions(u(3), 6)) == 3 + 6 + 12
-    # 121 = 212 in affine A2: two candidates on one key now collide
-    with pytest.raises(ToleranceError, match="collision"):
-        infinite.walk_involutions(InfiniteCoxeterGroup(AFFINE_A2), 3)
-    monkeypatch.undo()
-    # with one key for every matrix, the generators land on the identity
-    monkeypatch.setattr(infinite, "_mat_keys", lambda mats: [b""] * len(mats))
-    with pytest.raises(ToleranceError, match="collision"):
-        infinite.walk_involutions(u(3), 1)
-    # with a key of its own for every matrix, 121 and 212 peel to one word
-    fresh = count()
-    monkeypatch.setattr(infinite, "_mat_keys", lambda mats: [next(fresh) for _ in mats])
-    with pytest.raises(ToleranceError, match="split"):
-        infinite.walk_involutions(InfiniteCoxeterGroup(AFFINE_A2), 3)
-    monkeypatch.undo()
+    # 121 = 212 in affine A2 is stepped from 1 and from 2; only the step by
+    # its least descent, 1, keeps it
+    got = infinite.walk_involutions(InfiniteCoxeterGroup(AFFINE_A2), 3)
+    assert [z.word for z in got] == [(1,), (2,), (3,), (1, 2, 1), (1, 3, 1), (2, 3, 2)]
     group = u(3)
+    # one involution kept twice peels to one word twice
+    r1 = group.generator(1).mat
+    with pytest.raises(ToleranceError, match="split"):
+        infinite._lexmin_involutions(group, [np.stack([r1, r1])])
     with pytest.raises(ToleranceError, match="stopped short"):
         infinite._lexmin_involutions(group, [group.identity_mat[None]])
     with pytest.raises(ToleranceError, match="outgrew"):
@@ -344,8 +337,11 @@ def test_members_are_built_on_demand(monkeypatch):
     assert len(built) == 2 * len(invs) + 2
     assert [e.word for e in ball.elements] == ref_words
     assert len(built) == 2 * len(invs) + 2 + len(ball)
-    assert all(ball.elements[ball.index[e.key]] is e for e in ball.elements)
-    assert all(ball.elements[ball.index[z.key]].word == z.word for z in invs)
+    # one member per word and per key, and each involution is the member
+    # with its word
+    member = {e.word: e for e in ball.elements}
+    assert len(member) == len({e.key for e in ball.elements}) == len(ball)
+    assert all(member[z.word].key == z.key for z in invs)
 
 
 def test_batched_n_sets_match_single_words():
@@ -373,10 +369,11 @@ def test_root_columns_leave_numpy_random_unimported():
 def test_ball_matrices_match_single_element_path():
     group = InfiniteCoxeterGroup(H337)
     ball = enumerate_ball(group, 10)
+    member = {e.word: e for e in ball.elements}
     for e in ball.elements:
         single = group.element_from_word(e.word)
         assert np.array_equal(single.mat, e.mat)  # bit for bit
-        assert single.key == e.key and ball.elements[ball.index[single.key]] is e
+        assert single.key == e.key and member[single.word] is e
 
 
 def test_balls_close_no_root_system(monkeypatch):
@@ -479,23 +476,15 @@ def test_ball_graph_holds_no_dense_root_membership():
     assert len(g) == len(invs) and peak < len(invs) * roots
 
 
-def test_key_collision_aborts(monkeypatch):
-    # same layer: every second word for an element now counts as a collision
-    monkeypatch.setattr(infinite, "MATRIX_COLLISION_TOL", -1.0)
-    with pytest.raises(ToleranceError, match="collision"):
-        enumerate_ball(InfiniteCoxeterGroup(AFFINE_A2), 3)
-    monkeypatch.undo()
-    # earlier layer: with one key for every matrix, r_1 lands on the identity
-    monkeypatch.setattr(infinite, "_mat_keys", lambda mats: [b""] * len(mats))
-    with pytest.raises(ToleranceError, match="collision"):
-        enumerate_ball(u(3), 1)
-
-
-def test_collision_check_compares_only_key_hits(monkeypatch):
-    # U3 has no braid relations, so no two candidates share a key and a
-    # negative tolerance has nothing to compare
-    monkeypatch.setattr(infinite, "MATRIX_COLLISION_TOL", -1.0)
-    assert len(enumerate_ball(u(3), 6)) == 1 + 3 * (2 ** 6 - 1)
+def test_ball_layers_are_budgeted(monkeypatch, capsys):
+    # U3's length-2 layer steps 6 candidate 3 x 3 matrices, 432 bytes
+    monkeypatch.setattr(graph, "ADJACENCY_BUDGET", 431)
+    assert len(enumerate_ball(u(3), 1)) == 4
+    with pytest.raises(SpecError, match=r"432 bytes, more than ADJACENCY_BUDGET \(431"):
+        enumerate_ball(u(3), 2)
+    assert cli.main(["ball", "-g", "U3", "--radius", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and "ADJACENCY_BUDGET" in out.err
 
 
 def test_infinite_dihedral_ball_counts():
@@ -733,6 +722,60 @@ def test_each_maximal_parabolic_is_looked_up_once(monkeypatch):
     assert asked == [[2, 3, 4], [1, 3, 4], [1, 2, 4]]
     assert ev.claims[0].ok and ev.claims[0].witness["r"] == 2
     assert ev.claims[0].witness["s"] == 3
+
+
+def inverse_series(p, n):
+    """The first n coefficients of 1 / p(t), for an integer series p with
+    p(0) = 1: integer division, no float."""
+    out = []
+    for k in range(n):
+        out.append((k == 0) - sum(p[i] * out[k - i] for i in range(1, min(k + 1, len(p)))))
+    return out
+
+
+def steinberg_growth(matrix, radius):
+    """The number of elements of each length <= radius of the infinite
+    Coxeter group on `matrix` (a list of rows, 0 for infinity), by
+    Steinberg's formula (Bjorner-Brenti, GTM 231, ch. 7):
+
+        1 / W(t) = sum over J with W_J finite of (-1)^|J| t^N_J / W_J(t),
+
+    where W_J(t) is the length generating polynomial of W_J and N_J its
+    degree.  W_J is finite iff its cosine form is positive definite; W_J(t)
+    counts the lengths of a `CoxeterGroup` on the sub-matrix.  No ball,
+    matrix key or root sign of the infinite group is involved.
+    """
+    n = len(matrix)
+    form = np.array([[-np.cos(np.pi / m) if m else -1.0 for m in row] for row in matrix])
+    inverse = [0] * (radius + 1)
+    for J in chain.from_iterable(combinations(range(n), k) for k in range(n + 1)):
+        if J and np.linalg.eigvalsh(form[np.ix_(J, J)]).min() < 1e-9:
+            continue  # W_J is infinite
+        poincare = [1]
+        if J:
+            sub = CoxeterGroup(CoxeterMatrix([[matrix[i][j] for j in J] for i in J]))
+            poincare = np.bincount([sub._length(p) for p in sub.enumerate_perms()]).tolist()
+        term = [0] * (len(poincare) - 1) + inverse_series(poincare, radius + 1)
+        for k in range(radius + 1):
+            inverse[k] += (-1) ** len(J) * term[k]
+    return inverse_series(inverse, radius + 1)
+
+
+@pytest.mark.parametrize("group,radius,total", [
+    (u(3), 12, 12286),
+    (u(4), 8, 13121),
+    (InfiniteCoxeterGroup(AFFINE_A2), 30, 1396),
+    (InfiniteCoxeterGroup(H337), 20, 70690),
+    # the first radius with an element whose matrices along two words,
+    # ...1,2,3,2 and ...1,3,2,3, round to two keys (443,219 by keys)
+    (InfiniteCoxeterGroup(H337), 24, 443217),
+], ids=["U3", "U4", "A2~", "337-r20", "337-r24"])
+def test_ball_equals_the_growth_series(ball_of, group, radius, total):
+    # the independent method: per length, the series of the finite parabolics
+    want = steinberg_growth([list(row) for row in group.matrix.entries], radius)
+    ball = ball_of(group, radius)
+    assert np.diff(ball._starts).tolist() == want
+    assert len(ball) == sum(want) == total
 
 
 # SHA-256 of each report's to_json(indent=2), taken while the ball pair scans
