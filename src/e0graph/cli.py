@@ -3,7 +3,8 @@
 Commands: valency, graph, export, diameter, pendant, excess, delta, ball,
 cosets, verify.  Groups are given with -g/--group as a label (``A3``,
 ``I2(7)``, ``U3``, ``A1xA1``) or as a path to a JSON file
-``{"rank": n, "m": [[...]]}`` with 0 encoding an infinite bond.
+``{"rank": n, "m": [[...]]}`` with 0 encoding an infinite bond; such a
+matrix is finite exactly when its cosine form is positive definite.
 """
 
 from __future__ import annotations
@@ -35,21 +36,12 @@ def load_group(text, radius=None):
     """Build a group from a label or a JSON matrix file.
 
     Returns a finite CoxeterGroup, or an InfiniteCoxeterGroup when the label
-    is infinite (or a custom matrix fails to close up).
+    is infinite, or when a JSON matrix's cosine form is not positive definite
+    (`CoxeterMatrix.is_finite`).
     """
     if text.endswith(".json"):
-        from .coxeter import generate_root_system
-
         matrix = CoxeterMatrix.from_json_file(text)
-        if not matrix.has_infinite_bond:
-            try:
-                # cheap closure probe: every finite group of desk-scale rank
-                # has well under 20k positive roots
-                generate_root_system(matrix, max_roots=20_000)
-                return CoxeterGroup(matrix)
-            except ToleranceError:
-                pass  # affine or hyperbolic despite finite bond orders
-        return inf.InfiniteCoxeterGroup(matrix)
+        return CoxeterGroup(matrix) if matrix.is_finite else inf.InfiniteCoxeterGroup(matrix)
     spec = parse_group_spec(text)
     if spec.is_finite:
         return CoxeterGroup.from_spec(spec)

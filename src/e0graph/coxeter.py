@@ -3,9 +3,12 @@
 A group is specified either by a label such as ``A3``, ``B4``, ``I2(7)``,
 ``U3`` or ``A1xA1``, or by an explicit Coxeter matrix.  The simple roots are
 the standard basis of R^n and every root is stored as its coefficient vector
-over that basis.  For groups whose root system closes up (the finite ones),
-elements are stored as permutations of the root indices, packed into `bytes`
-so that composition is a single `bytes.translate` call.  Infinite groups are
+over that basis.  A Coxeter matrix is finite exactly when its cosine form
+`bilinear_form` is positive definite (`CoxeterMatrix.is_finite`; Humphreys,
+Reflection Groups and Coxeter Groups, 6.4), the one finiteness test of the
+package.  A finite group's root system closes up, and its elements are
+stored as permutations of the root indices, packed into `bytes` so that
+composition is a single `bytes.translate` call.  Infinite groups are
 handled in :mod:`e0graph.infinite` via the matrix representation.
 
 Two rules decide the rest on both carriers.  A root is negative when its
@@ -34,6 +37,12 @@ INFINITE_BOND = 0  # encodes m_ij = infinity in Coxeter matrices (also in JSON f
 
 ROOT_KEY_DECIMALS = 6  # roots are deduplicated on coordinates rounded to 1e-6
 SIGN_EPS = 1e-9        # closure only: how far a root's entries may stray past 0
+# the least eigenvalue of a positive definite cosine form is above this.  An
+# affine form's is exactly 0 (about 1e-16 in floats), and a finite
+# irreducible form's is 1 - cos(pi/h) for the Coxeter number h, about
+# pi^2 / (2 h^2): so the test decides exactly for h below about 7e4, far past
+# any group whose roots fit the packed permutations
+DEFINITE_EPS = 1e-9
 CLOSURE_BLOCK = 4096   # frontier roots reflected at once by the root closure
 
 
@@ -77,9 +86,11 @@ class CoxeterMatrix:
         """Bond order m_ij, 1-based; 0 means infinity."""
         return self.entries[i - 1][j - 1]
 
-    @property
-    def has_infinite_bond(self):
-        return any(v == INFINITE_BOND for row in self.entries for v in row)
+    @cached_property
+    def is_finite(self):
+        """True iff the group is finite: iff `bilinear_form` is positive
+        definite, read off its least eigenvalue (DEFINITE_EPS)."""
+        return bool(np.linalg.eigvalsh(np.array(bilinear_form(self))).min() > DEFINITE_EPS)
 
     @classmethod
     def block_diagonal(cls, blocks):
@@ -614,9 +625,9 @@ class CoxeterGroup(GeometricGroup):
 
     def __init__(self, matrix, spec=None):
         super().__init__(matrix, spec)
+        if not matrix.is_finite:  # refused before any root is closed
+            raise SpecError(f"{self.label} is not finite; use the ball explorer")
         self.roots = generate_root_system(matrix)
-        if not self.roots.complete:
-            raise ToleranceError("root system did not close; group is not finite")
         P = self.roots.pos_count
         if 2 * P > 255:
             raise SpecError(f"too many roots for the packed representation ({2 * P})")
@@ -653,8 +664,6 @@ class CoxeterGroup(GeometricGroup):
     def from_spec(cls, spec):
         if isinstance(spec, str):
             spec = parse_group_spec(spec)
-        if not spec.is_finite:
-            raise SpecError(f"{spec.label} is infinite; use the ball explorer")
         return cls(spec.coxeter_matrix(), spec)
 
     # -- raw permutation layer ------------------------------------------------

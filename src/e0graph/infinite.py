@@ -57,6 +57,7 @@ import numpy as np
 from .coxeter import (
     INFINITE_BOND,
     ROOT_KEY_DECIMALS,
+    CoxeterGroup,
     CoxeterMatrix,
     GroupSpec,
     GeometricGroup,
@@ -64,7 +65,6 @@ from .coxeter import (
     ToleranceError,
     float_keys,
     format_word,
-    generate_root_system,
     negative,
     pack_words,
     parse_group_spec,
@@ -239,31 +239,17 @@ class InfiniteCoxeterGroup(GeometricGroup):
         return out
 
     def parabolic_longest(self, J):
-        """Longest element of W_J; requires that parabolic to be finite.
+        """Longest element of W_J, which must be finite.
 
-        A pair in J with m = infinity makes W_J infinite, so it is refused
-        before any roots are closed.
+        It is the longest element of the finite `CoxeterGroup` on J's
+        sub-matrix: its lexmin word, relabelled by J, and the matrix stepped
+        along that word.  An infinite W_J raises SpecError there, before any
+        root is closed.
         """
         J = sorted(set(J))
-        sub = [[self.matrix.order(i, j) for j in J] for i in J]
-        if any(INFINITE_BOND in row for row in sub):
-            raise SpecError(f"parabolic on {J} is not finite")
-        sub_roots = generate_root_system(CoxeterMatrix(sub), max_depth=256)
-        if not sub_roots.complete:
-            raise SpecError(f"parabolic on {J} is not finite")
-        bound = sub_roots.pos_count
-        mat = self.identity_mat
-        word = []
-        while True:
-            s = next((t for t in J if not negative(mat[:, t - 1])), None)
-            if s is None:
-                break
-            word.append(s)
-            if len(word) > bound:
-                raise ToleranceError("parabolic ascent exceeded its root count")
-            mat = self._mul_gen(mat, s)
-        mat.flags.writeable = False
-        return MatrixElement(self, mat, tuple(word))
+        sub = CoxeterGroup(CoxeterMatrix([[self.matrix.order(i, j) for j in J] for i in J]))
+        word = tuple(J[s - 1] for s in sub.longest_element().word)
+        return MatrixElement(self, self._word_mat(word), word)
 
 
 def root_columns(vectors):
@@ -392,11 +378,12 @@ def enumerate_ball(group, radius):
     compared with another.  Its lexmin word is s followed by w's, so the
     candidates, taken in (s, w) order, come out in (length, word) order.
 
-    A layer whose candidate stack would take more than
-    `graph.ADJACENCY_BUDGET` bytes raises SpecError before it is allocated.
+    A layer whose arrays would take more than `graph.ADJACENCY_BUDGET` bytes
+    at its peak raises SpecError before its candidates are allocated.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    n = group.rank
     inv = group.identity_mat[None]  # the matrices of the layer's inverses
     zero = np.zeros(1, dtype=np.intp)
     layers = [(zero, zero)]
@@ -405,17 +392,25 @@ def enumerate_ball(group, radius):
         g, f = np.nonzero(~negative(inv, axis=1).T)  # l(s w) > l(w), in (s, w) order
         if not len(f):
             break
-        need = len(f) * group.rank ** 2 * 8
+        # the peak is in `_mul_gens`: the layer's matrices, and per candidate
+        # its gathered matrix, the rank-one product and their difference
+        # (n x n floats each), its gathered column and form row (n each) and
+        # f and g; besides them, the two index arrays of each member so far
+        need = 8 * ((len(inv) + 3 * len(f)) * n * n + (2 * n + 2) * len(f)
+                    + 2 * (start + len(inv)))
         if need > gr.ADJACENCY_BUDGET:
             raise SpecError(
-                f"the ball's length-{length} candidates need {need} bytes, more "
+                f"the ball's length-{length} layer needs {need} bytes, more "
                 f"than ADJACENCY_BUDGET ({gr.ADJACENCY_BUDGET} bytes)"
             )
-        cand = group._mul_gens(inv[f], g)
-        keep = negative(cand, axis=1).argmax(axis=1) == g
+        members = len(inv)
+        # the candidates take the name inv, so that neither the layer nor,
+        # once the kept ones are copied, the candidates outlive their use
+        inv = group._mul_gens(inv[f], g)
+        keep = negative(inv, axis=1).argmax(axis=1) == g
         layers.append((f[keep] + start, g[keep] + 1))
-        start += len(inv)
-        inv = cand[keep]
+        start += members
+        inv = inv[keep]
     return Ball(group, radius, layers)
 
 
@@ -656,7 +651,7 @@ def _max_parabolic_evidence(group, radius, extra):
     for r in sorted(R):
         try:
             longest[r] = group.parabolic_longest(R - {r})
-        except (SpecError, ToleranceError):
+        except SpecError:
             continue
         if len(longest) == 2:
             break

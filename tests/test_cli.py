@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import e0graph
-from e0graph import graph
+from e0graph import coxeter, graph
 from e0graph.cli import main
-from e0graph.coxeter import CoxeterGroup
+from e0graph.coxeter import CoxeterGroup, ToleranceError
 from e0graph.tables import EXCEPTIONAL_ROWS
 
 
@@ -230,6 +230,36 @@ def test_custom_json_group(capsys, tmp_path):
     code, out, _ = run(capsys, "valency", "-g", str(path))
     assert code == 0
     assert out.strip() == "0^1.1^2.2^2"
+
+
+@pytest.mark.parametrize("m,line", [
+    ([[1, 3, 3], [3, 1, 3], [3, 3, 1]], "has 64 elements, 9 involutions"),
+    ([[1, 3, 7], [3, 1, 3], [7, 3, 1]], "has 104 elements, 13 involutions"),
+], ids=["A2~", "337"])
+def test_infinite_json_matrices_close_no_roots(capsys, tmp_path, monkeypatch, m, line):
+    # no bond is infinite: the cosine form alone routes them to the balls
+    def refuse(*args, **kwargs):
+        raise AssertionError("a root system was closed")
+
+    monkeypatch.setattr(coxeter, "generate_root_system", refuse)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"rank": 3, "m": m}))
+    code, out, _ = run(capsys, "ball", "-g", str(path), "--radius", "6")
+    assert code == 0
+    assert out == f"group custom(rank=3): ball of radius 6 {line}\n"
+
+
+def test_finite_json_matrix_fails_loudly(capsys, tmp_path, monkeypatch):
+    # a float fault in a finite group's roots is an error, not an infinite group
+    def fault(*args, **kwargs):
+        raise ToleranceError("root key collision while indexing the root system")
+
+    monkeypatch.setattr(coxeter, "generate_root_system", fault)
+    path = tmp_path / "b2.json"
+    path.write_text(json.dumps({"rank": 2, "m": [[1, 4], [4, 1]]}))
+    code, out, err = run(capsys, "valency", "-g", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: root key collision while indexing the root system\n"
 
 
 @pytest.mark.parametrize("text", [

@@ -103,7 +103,7 @@ def test_matrix_json_roundtrip(tmp_path):
     path = tmp_path / "afftilde.json"
     path.write_text(json.dumps({"rank": 2, "m": [[1, 0], [0, 1]]}))
     m = CoxeterMatrix.from_json_file(str(path))
-    assert m.has_infinite_bond
+    assert not m.is_finite
     assert m.order(1, 2) == 0
 
 
@@ -181,6 +181,33 @@ def test_root_coefficient_sums_have_a_margin_of_one(matrix, depth):
     assert not negative(roots).any()
     for v in (roots, -roots):  # the sum rule agrees with the entry rule
         assert np.array_equal(negative(v), ~(v >= -coxeter.SIGN_EPS).all(axis=1))
+
+
+# affine and hyperbolic matrices, each with a depth at which its root closure
+# is still open and under the root cap (the roots of U3 double per depth)
+INFINITE_CLOSURE_DEPTHS = {
+    "U2": (parse_group_spec("U2").coxeter_matrix().entries, 20),
+    "U3": (parse_group_spec("U3").coxeter_matrix().entries, 10),
+    "A2~": ([[1, 3, 3], [3, 1, 3], [3, 3, 1]], 20),
+    "C2~": ([[1, 4, 2], [4, 1, 4], [2, 4, 1]], 20),
+    "G2~": ([[1, 6, 2], [6, 1, 3], [2, 3, 1]], 20),
+    "A3~": ([[1, 3, 2, 3], [3, 1, 3, 2], [2, 3, 1, 3], [3, 2, 3, 1]], 20),
+    "237": ([[1, 2, 3], [2, 1, 7], [3, 7, 1]], 20),
+    "337": ([[1, 3, 7], [3, 1, 3], [7, 3, 1]], 20),
+    "23inf": ([[1, 2, 3], [2, 1, 0], [3, 0, 1]], 20),
+    "A1xA2~": ([[1, 2, 2, 2], [2, 1, 3, 3], [2, 3, 1, 3], [2, 3, 3, 1]], 20),
+}
+FINITE_LABELS = SUITE + ("E7", "E8", "H4", "B2xB2xB2xB2xB2", "A15")
+
+
+@pytest.mark.parametrize("matrix,depth", [
+    *((parse_group_spec(label).coxeter_matrix(), 32) for label in FINITE_LABELS),
+    *((CoxeterMatrix(entries), depth) for entries, depth in INFINITE_CLOSURE_DEPTHS.values()),
+], ids=[*FINITE_LABELS, *INFINITE_CLOSURE_DEPTHS])
+def test_is_finite_matches_the_root_closure(matrix, depth):
+    # the independent method: a finite closure ends by depth 32, since E8's
+    # highest root has height 29, and an infinite one never ends
+    assert matrix.is_finite == generate_root_system(matrix, max_depth=depth).complete
 
 
 def reference_closure(matrix, max_depth):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from e0graph import cli, graph, infinite
+from e0graph import cli, coxeter, graph, infinite
 from e0graph.coxeter import (
     ROOT_KEY_DECIMALS,
     CoxeterGroup,
@@ -20,6 +20,7 @@ from e0graph.coxeter import (
     ToleranceError,
     float_keys,
     generate_root_system,
+    negative,
     pack_words,
     parse_group_spec,
 )
@@ -383,7 +384,7 @@ def test_balls_close_no_root_system(monkeypatch):
         calls.append(matrix.rank)
         return generate_root_system(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(infinite, "generate_root_system", counted)
+    monkeypatch.setattr(coxeter, "generate_root_system", counted)
     ball = enumerate_ball(u(3), 6)
     assert ball.graph.edge_count()
     # every member's N-set keyed: a member of length l holds l roots
@@ -477,14 +478,28 @@ def test_ball_graph_holds_no_dense_root_membership():
 
 
 def test_ball_layers_are_budgeted(monkeypatch, capsys):
-    # U3's length-2 layer steps 6 candidate 3 x 3 matrices, 432 bytes
-    monkeypatch.setattr(graph, "ADJACENCY_BUDGET", 431)
+    # U3's length-2 layer: 3 members and 6 candidates, 3 x 3 matrices, after
+    # the identity and 3 members: 8 * ((3 + 3 * 6) * 9 + 8 * 6 + 2 * 4) bytes
+    monkeypatch.setattr(graph, "ADJACENCY_BUDGET", 1959)
     assert len(enumerate_ball(u(3), 1)) == 4
-    with pytest.raises(SpecError, match=r"432 bytes, more than ADJACENCY_BUDGET \(431"):
+    with pytest.raises(SpecError, match=r"1960 bytes, more than ADJACENCY_BUDGET \(1959"):
         enumerate_ball(u(3), 2)
     assert cli.main(["ball", "-g", "U3", "--radius", "2"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: ") and "ADJACENCY_BUDGET" in out.err
+
+
+def test_ball_budget_counts_the_measured_peak(monkeypatch):
+    # the counted need of the largest layer covers what the layer allocates
+    tracemalloc.start()
+    try:
+        assert len(enumerate_ball(InfiniteCoxeterGroup(H337), 22)) == 177010
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(graph, "ADJACENCY_BUDGET", peak - 1)
+    with pytest.raises(SpecError, match="length-22 layer"):
+        enumerate_ball(InfiniteCoxeterGroup(H337), 22)
 
 
 def test_infinite_dihedral_ball_counts():
@@ -685,7 +700,7 @@ def test_infinite_bond_parabolics_close_no_roots(monkeypatch):
         calls.append(args)
         return generate_root_system(*args, **kwargs)
 
-    monkeypatch.setattr(infinite, "generate_root_system", counted)
+    monkeypatch.setattr(coxeter, "generate_root_system", counted)
     grp = InfiniteCoxeterGroup.from_spec("U2xU3")  # every maximal parabolic has m = inf
     with pytest.raises(SpecError, match="not finite"):
         grp.parabolic_longest({1, 3, 4})
@@ -706,8 +721,9 @@ def test_infinite_bond_parabolics_close_no_roots(monkeypatch):
 
 
 def test_each_maximal_parabolic_is_looked_up_once(monkeypatch):
-    # A1 x affine A2: R - {1} is infinite with no m = inf bond, so it takes a
-    # root closure to refuse; R - {2} and R - {3} are finite
+    # A1 x affine A2: R - {1} is infinite with no m = inf bond, refused by
+    # its cosine form, which is not positive definite; R - {2} and R - {3}
+    # are finite
     m = [[1, 2, 2, 2], [2, 1, 3, 3], [2, 3, 1, 3], [2, 3, 3, 1]]
     grp = InfiniteCoxeterGroup(CoxeterMatrix(m))
     asked = []
@@ -722,6 +738,99 @@ def test_each_maximal_parabolic_is_looked_up_once(monkeypatch):
     assert asked == [[2, 3, 4], [1, 3, 4], [1, 2, 4]]
     assert ev.claims[0].ok and ev.claims[0].witness["r"] == 2
     assert ev.claims[0].witness["s"] == 3
+
+
+def _affine_e8():
+    m = [list(row) + [2] for row in parse_group_spec("E8").coxeter_matrix().entries]
+    m.append([2] * 7 + [3, 1])
+    m[7][8] = 3  # the affine node hangs off node 8, the end of the long arm
+    return m
+
+
+# every parabolic of these groups is compared with the greedy ascent
+PARABOLIC_GROUPS = {
+    "A2~": AFFINE_A2.entries,
+    "C2~": [[1, 4, 2], [4, 1, 4], [2, 4, 1]],
+    "G2~": [[1, 6, 2], [6, 1, 3], [2, 3, 1]],
+    "A3~": [[1, 3, 2, 3], [3, 1, 3, 2], [2, 3, 1, 3], [3, 2, 3, 1]],
+    "E8~": _affine_e8(),
+    "237": [[1, 2, 3], [2, 1, 7], [3, 7, 1]],
+    "337": H337.entries,
+    "23inf": [[1, 2, 3], [2, 1, 0], [3, 0, 1]],
+    "A1xA2~": [[1, 2, 2, 2], [2, 1, 3, 3], [2, 3, 1, 3], [2, 3, 3, 1]],
+    # compact hyperbolic: every proper parabolic is finite
+    "5333": coxeter._path_matrix(5, [5, 3, 3, 3]),
+}
+
+
+def ascent_longest(group, J):
+    """(word, matrix) of the longest element of a finite W_J by greedy ascent,
+    on the group's own float matrices: append the least generator of J whose
+    column is positive until none is, with the positive roots of J's closed
+    root system as the bound on the length."""
+    J = sorted(J)
+    sub = CoxeterMatrix([[group.matrix.order(i, j) for j in J] for i in J])
+    roots = generate_root_system(sub, max_depth=32)
+    assert roots.complete
+    mat, word = group.identity_mat, []
+    while (s := next((t for t in J if not negative(mat[:, t - 1])), None)) is not None:
+        word.append(s)
+        assert len(word) <= roots.pos_count
+        mat = group._mul_gen(mat, s)
+    return tuple(word), mat
+
+
+@pytest.mark.parametrize("label", sorted(PARABOLIC_GROUPS))
+def test_parabolic_longest_matches_the_greedy_ascent(label):
+    group = InfiniteCoxeterGroup(CoxeterMatrix(PARABOLIC_GROUPS[label]))
+    subsets = chain.from_iterable(
+        combinations(group.generators, k) for k in range(1, group.rank + 1))
+    finite = 0
+    for J in subsets:
+        sub = CoxeterMatrix([[group.matrix.order(i, j) for j in J] for i in J])
+        if not sub.is_finite:
+            with pytest.raises(SpecError, match="not finite"):
+                group.parabolic_longest(J)
+            continue
+        finite += 1
+        x = group.parabolic_longest(J)
+        word, mat = ascent_longest(group, J)
+        assert x.word == word and x.mat.tobytes() == mat.tobytes()
+    # R itself is infinite; the compact hyperbolic group's other parabolics
+    # are all finite
+    assert 0 < finite < 2 ** group.rank - 1
+    if label == "5333":
+        assert finite == 2 ** 5 - 2
+
+
+def test_infinite_matrices_are_refused_before_any_closure(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a root system was closed")
+
+    monkeypatch.setattr(coxeter, "generate_root_system", refuse)
+    for m in (H337, AFFINE_A2):
+        with pytest.raises(SpecError, match="not finite"):
+            CoxeterGroup(m)
+    with pytest.raises(SpecError, match="not finite"):
+        InfiniteCoxeterGroup(H337).parabolic_longest({1, 2, 3})
+
+
+def test_evidence_closes_no_hyperbolic_parabolic(monkeypatch):
+    # R - {1} is the (2,3,7) triangle, R - {2} is A3 and R - {3} is A2 x A1
+    group = InfiniteCoxeterGroup(
+        CoxeterMatrix([[1, 3, 3, 2], [3, 1, 7, 2], [3, 7, 1, 3], [2, 2, 3, 1]]))
+    hyperbolic = np.array(coxeter.bilinear_form(CoxeterMatrix([[1, 7, 2], [7, 1, 3], [2, 3, 1]])))
+    forms = []  # every form whose roots were reflected, by closure or otherwise
+    real = coxeter._reflect_all
+
+    def recorded(form, roots):
+        forms.append(form)
+        return real(form, roots)
+
+    monkeypatch.setattr(coxeter, "_reflect_all", recorded)
+    ev = ball_graph_diameter_evidence(group, 6)
+    assert ev.ok and (ev.claims[0].witness["r"], ev.claims[0].witness["s"]) == (2, 3)
+    assert forms and not any(np.array_equal(f, hyperbolic) for f in forms)
 
 
 def inverse_series(p, n):
