@@ -37,11 +37,13 @@ INFINITE_BOND = 0  # encodes m_ij = infinity in Coxeter matrices (also in JSON f
 
 ROOT_KEY_DECIMALS = 6  # roots are deduplicated on coordinates rounded to 1e-6
 SIGN_EPS = 1e-9        # closure only: how far a root's entries may stray past 0
-# the least eigenvalue of a positive definite cosine form is above this.  An
-# affine form's is exactly 0 (about 1e-16 in floats), and a finite
-# irreducible form's is 1 - cos(pi/h) for the Coxeter number h, about
-# pi^2 / (2 h^2): so the test decides exactly for h below about 7e4, far past
-# any group whose roots fit the packed permutations
+# every elimination pivot of a positive definite cosine form is above this.
+# A pivot of a positive definite form is at least its least eigenvalue,
+# which for a finite irreducible form is 1 - cos(pi/h) for the Coxeter
+# number h, about pi^2 / (2 h^2); a form that is not positive definite has
+# a pivot <= 0 (an affine form's last one is 0, about 1e-16 in floats).  So
+# the test decides exactly for h below about 7e4, far past any group whose
+# roots fit the packed permutations
 DEFINITE_EPS = 1e-9
 CLOSURE_BLOCK = 4096   # frontier roots reflected at once by the root closure
 
@@ -89,8 +91,15 @@ class CoxeterMatrix:
     @cached_property
     def is_finite(self):
         """True iff the group is finite: iff `bilinear_form` is positive
-        definite, read off its least eigenvalue (DEFINITE_EPS)."""
-        return bool(np.linalg.eigvalsh(np.array(bilinear_form(self))).min() > DEFINITE_EPS)
+        definite.  Sylvester's criterion, by symmetric elimination in plain
+        floats: every pivot must be above DEFINITE_EPS."""
+        form = np.array(bilinear_form(self))
+        for i in range(self.rank):
+            pivot = form[i, i]
+            if pivot <= DEFINITE_EPS:
+                return False
+            form[i + 1 :, i + 1 :] -= np.multiply.outer(form[i + 1 :, i], form[i, i + 1 :]) / pivot
+        return True
 
     @classmethod
     def block_diagonal(cls, blocks):

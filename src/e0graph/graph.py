@@ -9,29 +9,41 @@ vertex ids: they number the vertices by (length, lexmin word), through a
 permutation each graph computes once, and write each vertex's run of edges
 to later ids with one str.join (`E0Graph._edge_blocks`).  x and y are joined
 exactly when l(xy) = l(x) + l(y), which happens iff N(x) and N(y) are
-disjoint.  The N-sets of all vertices are packed into k = ceil(|Phi+| / 64)
-machine words each (`CoxeterGroup.n_set_words`).  The adjacency is the
-complement of the boolean product N N^T of the V x |Phi+| N-set matrix, and
-`_pairwise_disjoint_rows` builds it from one table lookup per vertex and 8
-roots, not one AND per vertex pair.  It is one packed V x ceil(V/64)
-little-endian uint64 matrix, `E0Graph.rows` (bit j of row i set iff i and j
-are joined, zero padding past column V), and every reader uses it as it is.
-The walk stops, and the group is refused, once it finds more involutions
-than `vertex_limit` allows: a matrix within `ADJACENCY_BUDGET`.  So B8,
-E7xA1 and D9 build, and E8, A11 and A15 are refused.  A ball of an
-infinite group (`infinite.Ball.graph`) is the same `E0Graph` on the ball's
-involutions, with its N-sets packed by the same `pack_words` and its matrix
-built by the same `_pairwise_disjoint_rows`.
+disjoint.  The graph holds the N-sets, packed into k = ceil(|Phi+| / 64)
+machine words each (`CoxeterGroup.n_set_words`), not its adjacency: the
+complement of the boolean product N N^T of the V x |Phi+| N-set matrix,
+which `_row_blocks` yields a block of packed rows at a time.  `build_graph`
+popcounts the blocks into the valencies and keeps none, and the exports
+read them the same way.  A block of rows of length >= l reads only the
+columns of length <= |Phi+| - l, since |N(x)| + |N(y)| > |Phi+| forces two
+N-sets to meet.  The V x ceil(V/64) matrix `E0Graph.rows` is built only for
+the readers of whole rows, within `ADJACENCY_BUDGET`.
+
+Components, the diameter and distances need no adjacency.  Let D(x) be the
+simple roots in N(x), the descent set of x.  A generator s has N(s) =
+{a_s}, so s ~ x iff s is not in D(x); w0 has N(w0) = Phi+, so it is
+isolated, and it is the only involution with D = S.  Two other vertices x
+and y are joined by x - s - t - y for any s outside D(x) and t outside
+D(y); s is a common neighbour when it lies outside D(x) | D(y), and when
+D(x) | D(y) = S there is none, as every vertex z has a descent t, with a_t
+in N(z) and in N(x) or N(y).  `graph_distance` and
+`components_and_diameter` read this off the N-set words.
+
+The walk stops, and the group is refused, once its involutions would take
+more than `ADJACENCY_BUDGET` (`vertex_bytes`): E8, A11 and D9 build, A15 is
+refused.  A ball of an infinite group (`infinite.Ball.graph`) is the same
+`E0Graph` on the ball's involutions, with its N-sets packed by the same
+`pack_words` and its rows from the same `_row_blocks`, uncut.
 """
 
 from __future__ import annotations
 
 import json
 import mmap
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
-from math import isqrt
 
 import numpy as np
 
@@ -42,14 +54,16 @@ from .coxeter import (
     ascending,
     descending,
     format_word,
+    pack_words,
     parse_word,
 )
 
 # the working-set size of one block of the numpy kernels: the build's
 # subset-OR tables plus its gathered table rows, its unpacked N-set bits,
-# the unpacked bit rows and the gathers of the row unions
+# and the exports' unpacked bit rows
 CHUNK_BYTES = 1 << 20
-# the most bytes build_graph spends on the adjacency matrix; E8 would need about 5 GB
+# the most bytes the graph layer spends on one structure: the involution
+# walk, the packed adjacency matrix `E0Graph.rows`, a ball's layer
 ADJACENCY_BUDGET = 1 << 30
 # the edges the exports format at a time
 EXPORT_BLOCK = 1 << 13
@@ -57,13 +71,15 @@ EXPORT_BLOCK = 1 << 13
 _MARK = "\0edges"
 
 
-def vertex_limit():
-    """The most involutions the graph layer takes on: the largest V whose
-    V x ceil(V/64) uint64 adjacency matrix fits `ADJACENCY_BUDGET`."""
-    V = isqrt(8 * ADJACENCY_BUDGET)  # V^2/8 bytes, before rounding rows up to words
-    while V * -(-V // 64) * 8 > ADJACENCY_BUDGET:
-        V -= 1
-    return V
+def vertex_bytes(group):
+    """The bytes the walk and the graph hold per involution at their peak:
+    its permutation (a bytes object of 2 |Phi+| bytes) and its copy in the
+    length sort, its N-set words, its bits in the row blocks of
+    `_row_blocks`, and 256 bytes for its `Element` (48 bytes), its slots in
+    the walk's seen set and lists and in the vertex index, and its valency,
+    with room to spare."""
+    P = group.pos_count
+    return sys.getsizeof(group.identity_perm) + 2 * P + 8 * -(-P // 64) + _block_rows() // 8 + 256
 
 
 class InvolutionSet:
@@ -97,11 +113,17 @@ def enumerate_involutions(group):
 
     Ordered by a stable sort on length, so ties keep the walk's order and
     no word is computed.  Raises SpecError, without finishing the walk, once
-    it finds more than `vertex_limit()` involutions.
+    its involutions would take more than `ADJACENCY_BUDGET` at
+    `vertex_bytes(group)` each.
     """
     if not isinstance(group, CoxeterGroup):
         raise SpecError(f"{group.label} is infinite; use the ball explorer")
-    perms = group.involution_perms(vertex_limit())
+    per = vertex_bytes(group)
+    try:
+        perms = group.involution_perms(ADJACENCY_BUDGET // per)
+    except SpecError as exc:  # the walk's own refusal, named by its budget
+        raise SpecError(f"{exc}, at {per} bytes each more than "
+                        f"ADJACENCY_BUDGET ({ADJACENCY_BUDGET} bytes)") from None
     cached = getattr(group, "_involutions", None)
     if cached is not None:
         return cached
@@ -114,32 +136,57 @@ def enumerate_involutions(group):
 
 
 class E0Graph:
-    """The graph itself: the involution vertices and the adjacency matrix
-    `rows`; `radius` is the radius of a ball's graph, None for a finite group's."""
+    """The graph itself: the involution vertices and their N-set words, the
+    (k, V) word-major array of `pack_words`; `radius` is the radius of a
+    ball's graph, None for a finite group's."""
 
-    def __init__(self, group, vertices, rows, radius=None):
+    def __init__(self, group, vertices, words, radius=None):
         self.group = group
         self.vertices = vertices
-        self.rows = rows
+        self.words = words
         self.radius = radius
+        self._degrees = None
         self._export = None  # (words, labels, rank), see _export_order
+
+    @cached_property
+    def rows(self):
+        """The packed V x ceil(V/64) little-endian uint64 adjacency matrix
+        (bit j of row i set iff i and j are joined, zero padding past column
+        V), built on first use from `_row_blocks`.  Raises SpecError when it
+        would take more than `ADJACENCY_BUDGET`."""
+        V = len(self)
+        need = V * -(-V // 64) * 8
+        if need > ADJACENCY_BUDGET:
+            raise SpecError(f"the adjacency matrix of {self.group.label} needs {need} bytes, "
+                            f"more than ADJACENCY_BUDGET ({ADJACENCY_BUDGET} bytes)")
+        return _pairwise_disjoint_rows(self.words, self._reach())
 
     @property
     def adj(self):
         """The rows as V-bit ints, for the benchmark's distance oracle
-        (`perfbench/workloads.py::_distance_ok`) only; nothing in the library
-        reads it.  Goes once that oracle calls `has_edge`."""
+        (`perfbench/workloads.py::_distance_ok`) only: it builds the whole
+        matrix `rows`, and nothing in the library reads it.  Goes once that
+        oracle calls `has_edge`."""
         return [int.from_bytes(row.tobytes(), "little") for row in self.rows]
 
     def __len__(self):
         return len(self.vertices)
 
     def degree(self, i):
-        return int(np.bitwise_count(self.rows[i]).sum())
+        return self.degrees()[i]
 
     def has_edge(self, i, j):
-        """Whether vertices i and j (indices) are adjacent."""
-        return bool(self.rows[i, j >> 6] >> (j & 63) & 1)
+        """Whether vertices i and j (indices) are adjacent: whether their
+        N-sets are disjoint."""
+        words = self.words
+        return i != j and not any(words.item(w, i) & words.item(w, j) for w in range(len(words)))
+
+    @cached_property
+    def simple_roots(self):
+        """The simple roots, bits 0 .. rank - 1 of an N-set, as one int per
+        N-set word: the descent set of x is D(x) = N(x) & S."""
+        rank = self.group.rank
+        return tuple((1 << min(64, max(0, rank - 64 * w))) - 1 for w in range(len(self.words)))
 
     def dense(self):
         """The adjacency unpacked to a V x V bool array (V^2 bytes): for
@@ -147,30 +194,52 @@ class E0Graph:
         return _bools(self.rows, len(self))
 
     def degrees(self):
-        step = max(1, CHUNK_BYTES // max(self.rows.strides[0], 1))  # bounds the popcount temporary
-        return [d for s in range(0, len(self), step)
-                for d in np.bitwise_count(self.rows[s : s + step]).sum(axis=1).tolist()]
+        """The valencies, popcounted from the row blocks as they come
+        (computed once)."""
+        if self._degrees is None:
+            deg = np.zeros(len(self), dtype=np.int64)
+            for start, block in self._blocks():
+                deg[start : start + len(block)] = np.bitwise_count(block).sum(axis=1)
+            self._degrees = deg.tolist()
+        return self._degrees
 
     def edge_count(self):
         return sum(self.degrees()) // 2
 
+    def _reach(self):
+        """For a finite group's graph, the columns past which each row has no
+        bit (`_row_blocks`): two N-sets with |N(x)| + |N(y)| > |Phi+| meet.
+        None for a ball's graph, whose N-sets are over the shared roots only."""
+        if self.radius is not None:
+            return None
+        lengths = np.bitwise_count(self.words).sum(axis=0, dtype=np.int64)
+        P = self.group.pos_count
+        last = np.full(P + 1, -1)  # last[l]: the last vertex of length <= l
+        np.maximum.at(last, lengths, np.arange(len(lengths)))
+        return np.maximum.accumulate(last)[P - lengths] + 1
+
+    def _blocks(self):
+        return _row_blocks(self.words, self._reach())
+
     def _edge_arrays(self):
-        """The edges as (i, j) index arrays, i < j, in row-major order, one
-        row block at a time.  A block is unpacked from the word holding its
-        first diagonal bit on: the words left of it are all lower triangle."""
-        V = len(self.rows)
+        """The edges as (i, j) index arrays, i < j, in row-major order, from
+        the row blocks, `CHUNK_BYTES` of unpacked bits at a time.  Rows are
+        unpacked from the word holding their first diagonal bit on: the words
+        left of it are all lower triangle."""
+        V = len(self)
         step = max(1, CHUNK_BYTES // max(V, 1))
-        for start in range(0, V, step):
-            w = 64 * (start >> 6)  # the first column unpacked
-            bits = _bools(self.rows[start : start + step, w >> 6 :], V - w)
-            i, j = np.divmod(np.flatnonzero(bits), V - w)
-            upper = j + w > i + start
-            yield i[upper] + start, j[upper] + w
+        for first, block in self._blocks():
+            for start in range(first, first + len(block), step):
+                w = 64 * (start >> 6)  # the first column unpacked
+                bits = _bools(block[start - first : start - first + step, w >> 6 :], V - w)
+                i, j = np.divmod(np.flatnonzero(bits), V - w)
+                upper = j + w > i + start
+                yield i[upper] + start, j[upper] + w
 
     def neighborhood(self, x):
         """The set of vertices adjacent to x."""
         i = self.vertices.index_of(x)
-        return {self.vertices.elements[j] for j in _set_bits(self.rows[i]).tolist()}
+        return {self.vertices.elements[j] for j in np.flatnonzero(_bools(self.rows[i], len(self)))}
 
     def _export_order(self):
         """(words, labels, rank): the lexmin words in export order, their
@@ -250,7 +319,7 @@ class E0Graph:
             {"id": i, "word": label, "length": len(w)}
             for i, (w, label) in enumerate(zip(words, labels))
         ]
-        if not self.rows.any():
+        if not self.edge_count():
             return json.dumps({**doc, "edges": []}, **kwargs)
         doc["edges"] = [[_MARK, _MARK], [_MARK, _MARK]]
         head, mid, sep, _, tail = json.dumps(doc, **kwargs).split(json.dumps(_MARK))
@@ -260,45 +329,59 @@ class E0Graph:
         _, labels, _ = self._export_order()
         lines = [f'graph "{self.group.label}" {{']
         lines.extend(f'  v{i} [label="{label}"];' for i, label in enumerate(labels))
-        if not self.rows.any():
+        if not self.edge_count():
             return "\n".join([*lines, "}"])
         return self._edge_text("\n".join(lines) + "\n", "  v", " -- v", ";", "\n", "\n}")
 
 
 def build_graph(group):
-    """Build the excess-zero graph of a finite group (cached on the group).
+    """Build the excess-zero graph of a finite group and its valencies
+    (cached on the group).
 
     Raises SpecError, during the involution walk and so before the vertices
-    are sorted or the adjacency allocated, when the group has more than
-    `vertex_limit()` involutions.
+    are sorted or any row computed, when the group's involutions would take
+    more than `ADJACENCY_BUDGET` (`enumerate_involutions`).
     """
     cached = getattr(group, "_e0graph", None)
     if cached is not None:
         return cached
     vertices = enumerate_involutions(group)
-    words = group.n_set_words([e.perm for e in vertices])
-    g = E0Graph(group, vertices, _pairwise_disjoint_rows(words))
+    g = E0Graph(group, vertices, group.n_set_words([e.perm for e in vertices]))
+    g.degrees()
     group._e0graph = g
     return g
 
 
-def _pairwise_disjoint_rows(words):
-    """The adjacency matrix: bit j of row i set iff i != j and N-sets i and j
-    are disjoint.
+def _block_rows():
+    """The rows of one block of `_row_blocks`: a block rebuilds the tables,
+    which cost about as much as 256 gathered rows, an eighth of its own."""
+    return 8 * max(1, CHUNK_BYTES // (4 * 8 * 128))
+
+
+def _row_blocks(words, reach=None):
+    """The adjacency matrix as (start, block) pairs, in order: block is the
+    packed (rows, ceil(V/64)) little-endian uint64 array of rows start,
+    start + 1, ..., bit j of row i set iff i != j and N-sets i and j are
+    disjoint, zero past column V.
 
     `words` is the (k, V) word-major N-set array of `pack_words`.  The matrix
     is the complement of the boolean product N N^T of the V x |Phi+| N-set
     matrix, built by the Four Russians method (Arlazarov, Dinic, Kronrod and
     Faradzev, 1970).  A root in fewer than two N-sets can only meet a vertex
-    with itself, so it is dropped and the diagonal is set by hand.  The
+    with itself, so it is dropped and the diagonal is cleared by hand.  The
     other roots are compacted eight to a byte of each N-set (`idx`), and
     each is also packed as the V-bit row of the vertices that hold it
     (`cols`).  For a group of 8 roots, `_subset_ors` tables the OR of the
     rows of every subset of them, and a row i of the product is the OR over
     the groups of the table row picked by byte g of N-set i.  So a vertex
     costs one gathered row per 8 roots, not one AND per vertex pair.  The
-    unpacked N-set bits, the tables and each gathered block stay within
-    `CHUNK_BYTES`.
+    unpacked N-set bits, the tables and each gather stay within
+    `CHUNK_BYTES`; a block holds `_block_rows()` rows, in one buffer that
+    the next block overwrites.
+
+    `reach[i]`, when given, is a column past which row i has no bit: a
+    block reads only the columns before the largest reach of its rows, and
+    leaves the words past them zero.
     """
     k, V = words.shape
     W = -(-V // 64)
@@ -321,24 +404,42 @@ def _pairwise_disjoint_rows(words):
     # The tables of gc groups, Wc words a row, and rb vertices' gathered rows,
     # each within a quarter of CHUNK_BYTES.  At most 16 groups a table block
     # keeps the gathered rows wide; every finite group's roots (|Phi+| <= 127)
-    # fit one block, so its matrix is written in one pass.
+    # fit one block.
     units = max(1, CHUNK_BYTES // (4 * 256 * 8))  # (group, word) cells of table
     gc = max(1, min(G, 16, units))
     Wc = units // gc
     rb = max(1, CHUNK_BYTES // (4 * 8 * gc * Wc))
-    rows = np.zeros((V, W), dtype="<u8")
-    for b in range(8):  # every vertex meets itself: bit i of row i is in byte i >> 3
-        np.fill_diagonal(rows.view(np.uint8)[b::8], 1 << b)
-    for g in range(0, G, gc):
-        offsets = 256 * np.arange(len(cols[g : g + gc]))[:, None]
-        for c in range(0, W, Wc):
-            table = _subset_ors(cols[g : g + gc, :, c : c + Wc])
-            for r in range(0, V, rb):
-                picked = np.take(table, idx[g : g + gc, r : r + rb] + offsets, axis=0)
-                rows[r : r + rb, c : c + Wc] |= np.bitwise_or.reduce(picked, axis=0)
     valid = np.zeros(8 * W, dtype=np.uint8)  # the bits of columns 0..V-1
     valid[: -(-V // 8)] = np.packbits(np.ones(V, dtype=bool), bitorder="little")
-    rows ^= valid.view("<u8")  # the complement, zero past column V
+    valid = valid.view("<u8")
+    R = _block_rows()
+    buf = np.empty((min(R, V), W), dtype="<u8")
+    for first in range(0, V, R):
+        last = min(first + R, V)
+        Wr = W if reach is None else -(-int(reach[first:last].max()) // 64)
+        block = buf[: last - first]
+        block[:] = 0
+        for g in range(0, G, gc):
+            offsets = 256 * np.arange(len(cols[g : g + gc]))[:, None]
+            for c in range(0, Wr, Wc):
+                ce = min(c + Wc, Wr)
+                table = _subset_ors(cols[g : g + gc, :, c:ce])
+                for r in range(first, last, rb):
+                    picked = np.take(table, idx[g : g + gc, r : min(r + rb, last)] + offsets, axis=0)
+                    block[r - first : r - first + rb, c:ce] |= np.bitwise_or.reduce(picked, axis=0)
+        block[:, :Wr] ^= valid[:Wr]  # the complement, zero past column V
+        i = np.arange(first, last)
+        block[i - first, i >> 6] &= ~(np.uint64(1) << (i & 63).astype(np.uint64))
+        yield first, block
+
+
+def _pairwise_disjoint_rows(words, reach=None):
+    """The whole adjacency matrix of `_row_blocks(words, reach)`, its blocks
+    written into one V x ceil(V/64) array."""
+    V = words.shape[1]
+    rows = np.empty((V, -(-V // 64)), dtype="<u8")
+    for first, block in _row_blocks(words, reach):
+        rows[first : first + len(block)] = block
     return rows
 
 
@@ -350,11 +451,6 @@ def _subset_ors(cols):
     for b in range(8):
         np.bitwise_or(table[:, : 1 << b], cols[:, b, None], out=table[:, 1 << b : 2 << b])
     return table.reshape(-1, cols.shape[2])
-
-
-def _set_bits(row):
-    """The indices of the set bits of a packed row, ascending."""
-    return np.flatnonzero(np.unpackbits(row.view(np.uint8), bitorder="little"))
 
 
 @dataclass
@@ -392,67 +488,46 @@ def valency_distribution(g):
 
 
 def components_and_diameter(g):
-    """Connected components plus the diameter of the component without w0.
+    """Connected components plus the diameter of the component without w0,
+    read off the N-sets and descent sets of a finite group's graph (see the
+    module docstring).
 
-    Components come from a frontier search over the adjacency rows
-    (`_layer`), listed by lowest vertex index.  The hat diameter is the
-    largest eccentricity, found from exact eccentricity bounds (Takes and
-    Kosters, CIKM 2011), which rest on ecc(v) <= ecc(u) + 1 for adjacent u
-    and v: each vertex gathered grows its own ball one search layer per
-    pass (`_layer`, as the components do), highest valency first, a vertex
-    next to a finished one finishes without a gather, and the pass stops
-    once the bounds meet (`_component_diameter`).  In the groups the
-    generators finish at radius 2 and every other hat vertex touches one,
-    so a few gathers settle the diameter.  No V x ceil(V/64) matrix is
-    allocated besides the adjacency: past radius 2 the pass holds two
-    packed rows, the ball and its outer layer, per unfinished gathered
-    vertex, and `_layer` gathers `CHUNK_BYTES` of rows at a time.  Vertex
-    indices are the internal ones of `InvolutionSet`, not export ids.
-    Raises for rank-1 groups, whose "hat" component is empty and has no
-    diameter.
+    The components are [the hat, {w0}], once the data shows w0 isolated,
+    the only vertex with D = S, and each generator s with N(s) = {a_s}.
+    The hat diameter is 1 if the valencies show a clique.  Otherwise it is
+    3 if a non-adjacent pair has D(x) | D(y) = S: at rank >= 3 the longest
+    elements of W_{S - r} and W_{S - s} (their N-sets share the roots of
+    W_{S - {r, s}}), checked on their words, and at rank 2 some pair with
+    descent sets {1} and {2}.  Otherwise it is 2.  Vertex indices are the
+    internal ones of `InvolutionSet`, not export ids.  Raises for rank-1
+    groups, whose "hat" component is empty and has no diameter.
     """
     group = g.group
     if group.rank < 2:
         raise ValueError("rank-1 group: the component away from w0 is empty, "
                          "its diameter is undefined")
-    rows, comps = g.rows, []
-    unseen = np.ones(len(rows), dtype=bool)
-    while unseen.any():  # one frontier search from the lowest unseen vertex
-        reach = frontier = _with_bit(np.zeros_like(rows[0]), int(np.argmax(unseen)))
-        while frontier.any():
-            reach, frontier = _layer(rows, reach, frontier)
-        comps.append(reach)
-        unseen[_set_bits(reach)] = False
+    words, S = g.words, np.array(g.simple_roots, dtype=np.uint64)
+    w0 = g.vertices.index_of(group.longest_element())
+    covered = np.count_nonzero(((words & S[:, None]) == S[:, None]).all(axis=0))  # D = S
+    gens = [g.vertices.index_of(group.generator(i)) for i in group.generators]
+    alone = pack_words(np.eye(group.rank, 64 * len(words), dtype=bool))  # N(s) = {a_s}
+    degrees = g.degrees()
+    if degrees[w0] or covered != 1 or not (words[:, gens] == alone).all():
+        raise ValueError(f"expected one component away from w0, found {covered - 1} "
+                         "other vertices with every simple root in their N-set")
     elements = g.vertices.elements
-    components = [frozenset(elements[i] for i in _set_bits(c).tolist()) for c in comps]
-    w0_idx = g.vertices.index_of(group.longest_element())
-    hat = [c for c in comps if not c[w0_idx >> 6] >> (w0_idx & 63) & 1]
-    if len(hat) != 1:
-        raise ValueError(f"expected one component away from w0, found {len(hat)}")
-    return components, _component_diameter(g, hat[0])
-
-
-def _with_bit(row, v):
-    """A copy of the packed row with bit v set."""
-    row = row.copy()
-    row[v >> 6] |= 1 << (v & 63)
-    return row
-
-
-def _union(rows, idx):
-    """The OR of the packed rows `rows[idx]`, gathered `CHUNK_BYTES` at a time."""
-    out = np.zeros_like(rows[0])
-    step = max(1, CHUNK_BYTES // rows.strides[0])
-    for start in range(0, len(idx), step):
-        out |= np.bitwise_or.reduce(rows[idx[start : start + step]], axis=0)
-    return out
-
-
-def _layer(rows, reach, frontier):
-    """One search layer: the packed ball `reach` grown by the rows of the
-    vertices in its `frontier`, and the new frontier."""
-    grown = reach | _union(rows, _set_bits(frontier))
-    return grown, grown & ~reach
+    components = [frozenset(elements[:w0] + elements[w0 + 1 :]), frozenset([elements[w0]])]
+    if all(d == len(g) - 2 for i, d in enumerate(degrees) if i != w0):
+        return components, 1
+    if group.rank >= 3:
+        R = set(group.generators)
+        r, s, *_ = sorted(R)
+        if graph_distance(g, group.parabolic_longest(R - {r}), group.parabolic_longest(R - {s})) != 3:
+            raise ValueError("the maximal-parabolic longest elements are not at distance 3")
+        return components, 3
+    desc = words[0] & S[0]
+    ones, twos = words[:, desc == 1], words[:, desc == 2]  # D = {1} and D = {2}
+    return components, 3 if (ones[:, :, None] & twos[:, None, :]).any(axis=0).any() else 2
 
 
 def _bools(rows, V):
@@ -461,84 +536,25 @@ def _bools(rows, V):
     return bits.view(bool)
 
 
-def _component_diameter(g, target):
-    """The diameter of the component whose packed row is `target`: its
-    largest eccentricity (see `components_and_diameter`).
-
-    Pass r starts with the vertices still growing, whose balls of radius
-    r - 1 fall short of the component (ecc >= r), and with `covered`, the
-    union of the rows of the vertices finished so far (ecc <= r - 1), whose
-    neighbours have ecc <= r.  So a growing vertex in `covered` finishes at
-    radius r with no gather.  The others are gathered in descending degree:
-    each grows its own ball by one search layer (`_layer`), and each whose
-    ball is now the component adds its row to `covered`.  Once some gathered
-    ball falls short (ecc >= r + 1) and every unfinished vertex is in
-    `covered` (ecc <= r + 1), the diameter is r + 1.  A finished vertex's
-    own bit in `covered` is never read.
-    """
-    rows = g.rows
-    V = len(rows)
-    in_comp = _bools(target, V)
-    size = int(in_comp.sum())
-    lens = np.array(g.degrees()) + 1  # closed neighbourhood sizes
-    growing = in_comp & (lens < size)  # radius 1 is not yet the component
-    covered = _union(rows, np.flatnonzero(in_comp & ~growing))
-    active = np.flatnonzero(growing)
-    active = active[np.argsort(-lens[active], kind="stable")]
-    balls = {}  # (ball, outer layer) of each unfinished gathered vertex
-    radius = int(size > 1)
-    while active.size:
-        radius += 1
-        done = _bools(covered, V)[active]
-        finished, gathered = active[done], active[~done]
-        covered |= _union(rows, finished)
-        for v in finished.tolist():
-            balls.pop(v, None)
-        full = np.zeros(gathered.size, dtype=bool)
-        witness = False  # some gathered ball falls short: the diameter exceeds radius
-        for k, v in enumerate(gathered.tolist()):
-            seed = balls.pop(v, None) or (_with_bit(rows[v], v), rows[v])  # radius 1
-            ball, frontier = _layer(rows, *seed)
-            if (ball == target).all():
-                full[k] = True
-                covered |= rows[v]
-            else:
-                balls[v] = ball, frontier
-                if witness:  # the bounds can only meet once `covered`
-                    continue  # grows or the first witness appears
-                witness = True
-            # full[k + 1:] is still False, so ~full marks every unfinished vertex
-            if witness and _bools(covered, V)[gathered[~full]].all():
-                return radius + 1
-        active = gathered[~full]
-    return radius
-
-
 def graph_distance(g, x, y):
-    """Shortest-path distance between two vertices; None when disconnected.
+    """Shortest-path distance between two vertices of a finite group's
+    graph; None when disconnected.
 
-    A bidirectional search: the distance is the least r + s for which the
-    ball of radius r around x meets the ball of radius s around y.  Both
-    balls start at radius 1, straight from the two adjacency rows, and then
-    grow one layer at a time on the side whose frontier is smaller.
+    Read off the N-sets and descent sets (see the module docstring): 0 when
+    x = y, None when one is w0, 1 when their N-sets are disjoint, 2 when
+    some generator lies outside D(x) | D(y), and 3 otherwise.
     """
     i, j = g.vertices.index_of(x), g.vertices.index_of(y)
     if i == j:
         return 0
+    w0 = g.vertices.index_of(g.group.longest_element())
+    if w0 in (i, j):
+        return None
     if g.has_edge(i, j):
         return 1
-    rows = g.rows
-    frontier = [rows[i], rows[j]]
-    reach = [_with_bit(rows[i], i), _with_bit(rows[j], j)]
-    d = 2
-    while not (reach[0] & reach[1]).any():
-        if not (frontier[0].any() and frontier[1].any()):
-            return None  # one ball is a whole component
-        sizes = [np.bitwise_count(f).sum() for f in frontier]
-        s = 0 if sizes[0] <= sizes[1] else 1
-        reach[s], frontier[s] = _layer(rows, reach[s], frontier[s])
-        d += 1
-    return d
+    words = g.words
+    covered = all((words.item(w, i) | words.item(w, j)) & s == s for w, s in enumerate(g.simple_roots))
+    return 3 if covered else 2
 
 
 def excess(group, w):

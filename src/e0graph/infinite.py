@@ -39,10 +39,10 @@ Two involutions are adjacent when l(xy) = l(x) + l(y), that is when N(x)
 and N(y) are disjoint (Bjorner-Brenti, GTM 231, ch. 4), so a graph needs
 only the roots that occur in its vertices' N-sets: `root_columns` keys
 those root vectors directly, once per graph, and no root system is closed.
-`involution_graph` is the packed matrix of a finite group's graph on the
-walk's involutions, over the roots that two N-sets share, and every pair
-scan of the evidence reports reads it a whole block of pairs at a time; no
-evidence report enumerates a ball.
+`involution_graph` is a finite group's `E0Graph` on the walk's
+involutions, over the roots that two N-sets share, and every pair scan of
+the evidence reports reads its packed matrix a whole block of pairs at a
+time; no evidence report enumerates a ball.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from .coxeter import (
     parse_group_spec,
 )
 from . import graph as gr
-from .graph import E0Graph, InvolutionSet, _pairwise_disjoint_rows
+from .graph import E0Graph, InvolutionSet
 
 MATRIX_KEY_DECIMALS = 6
 MATRIX_COLLISION_TOL = 1e-5
@@ -238,6 +238,11 @@ class InfiniteCoxeterGroup(GeometricGroup):
             mats[a] -= col[:, :, None] * self._form2[s][:, None, :]
         return out
 
+    def parabolic_matrix(self, J):
+        """The Coxeter matrix of W_J, on the generators J in increasing order."""
+        J = sorted(set(J))
+        return CoxeterMatrix([[self.matrix.order(i, j) for j in J] for i in J])
+
     def parabolic_longest(self, J):
         """Longest element of W_J, which must be finite.
 
@@ -247,7 +252,7 @@ class InfiniteCoxeterGroup(GeometricGroup):
         root is closed.
         """
         J = sorted(set(J))
-        sub = CoxeterGroup(CoxeterMatrix([[self.matrix.order(i, j) for j in J] for i in J]))
+        sub = CoxeterGroup(self.parabolic_matrix(J))
         word = tuple(J[s - 1] for s in sub.longest_element().word)
         return MatrixElement(self, self._word_mat(word), word)
 
@@ -501,16 +506,15 @@ def _graph_on(group, invs, radius):
     """The excess-zero graph on the involutions `invs` of a ball of the
     given radius, in their order.  Their N-set roots get columns in one
     `root_columns` call, and only the roots that two or more N-sets hold are
-    packed: a root in one N-set meets no other (`_pairwise_disjoint_rows`
-    drops it too), and the bool matrix to pack spans the shared roots only."""
+    packed: a root in one N-set meets no other (`graph._row_blocks` drops
+    it too), and the bool matrix to pack spans the shared roots only."""
     cols = root_columns(group.n_set_vectors([z.word for z in invs]))
     owner = np.repeat(np.arange(len(invs)), [z.length for z in invs])
     held = np.bincount(cols) > 1  # the columns of the shared roots
     shared = held[cols]
     member = np.zeros((len(invs), np.count_nonzero(held)), dtype=bool)
     member[owner[shared], (np.cumsum(held) - 1)[cols[shared]]] = True
-    rows = _pairwise_disjoint_rows(pack_words(member))
-    return E0Graph(group, InvolutionSet(group, invs), rows, radius)
+    return E0Graph(group, InvolutionSet(group, invs), pack_words(member), radius)
 
 
 def universal_neighborhood(x, graph):
@@ -649,10 +653,9 @@ def _max_parabolic_evidence(group, radius, extra):
     R = set(group.generators)
     longest = {}  # the first two r whose maximal parabolic on R - {r} is finite
     for r in sorted(R):
-        try:
-            longest[r] = group.parabolic_longest(R - {r})
-        except SpecError:
+        if not group.parabolic_matrix(R - {r}).is_finite:
             continue
+        longest[r] = group.parabolic_longest(R - {r})
         if len(longest) == 2:
             break
     claims = []

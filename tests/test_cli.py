@@ -197,7 +197,8 @@ def test_excess_histogram_heavy_gate(capsys):
 
 
 def test_adjacency_budget_refusal(capsys, monkeypatch):
-    monkeypatch.setattr(graph, "ADJACENCY_BUDGET", 8)  # 1 vertex (1 x 1 word); A3 has 9
+    per = graph.vertex_bytes(CoxeterGroup.from_spec("A3"))
+    monkeypatch.setattr(graph, "ADJACENCY_BUDGET", 2 * per - 1)  # 1 vertex; A3 has 9
     code, out, err = run(capsys, "valency", "-g", "A3")
     assert code == 2 and out == ""
     assert "A3 has more than 1 involutions" in err

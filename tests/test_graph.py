@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from e0graph import cli
 from e0graph import graph as gr
 from e0graph.coxeter import (
     CoxeterGroup,
@@ -24,7 +26,7 @@ from e0graph.coxeter import (
     generate_root_system,
     pack_words,
 )
-from e0graph.infinite import InfiniteCoxeterGroup, enumerate_ball
+from e0graph.infinite import InfiniteCoxeterGroup, enumerate_ball, involution_graph
 from e0graph.tables import dihedral_distribution
 from e0graph.verify import SUITE
 from e0graph.graph import (
@@ -163,8 +165,7 @@ def test_exports_ignore_the_vertex_order(label):
     elems = list(g.vertices)
     random.Random(label).shuffle(elems)
     assert elems != g.vertices.elements
-    rows = gr._pairwise_disjoint_rows(grp.n_set_words([e.perm for e in elems]))
-    shuffled = E0Graph(grp, InvolutionSet(grp, elems), rows)
+    shuffled = E0Graph(grp, InvolutionSet(grp, elems), grp.n_set_words([e.perm for e in elems]))
     assert shuffled.to_json() == g.to_json()
     assert shuffled.to_json(indent=2) == g.to_json(indent=2)
     assert shuffled.to_dot() == g.to_dot()
@@ -173,24 +174,25 @@ def test_exports_ignore_the_vertex_order(label):
 def test_budget_refuses_during_the_walk(monkeypatch):
     cached = CoxeterGroup.from_spec("A5")
     assert len(enumerate_involutions(cached)) == 75  # walked under the real budget
-    monkeypatch.setattr(gr, "ADJACENCY_BUDGET", 50)  # 6 vertices (6 x 1 word); A5 has 75
+    per = gr.vertex_bytes(cached)
+    monkeypatch.setattr(gr, "ADJACENCY_BUDGET", 7 * per - 1)  # 6 vertices; A5 has 75
     grp = CoxeterGroup.from_spec("A5")
-    with pytest.raises(SpecError, match="A5 has more than 6 involutions"):
+    with pytest.raises(SpecError, match=rf"A5 has more than 6 involutions, at {per} bytes "
+                                        r"each more than ADJACENCY_BUDGET \("):
         build_graph(grp)
     assert grp._involution_perms is None  # the walk was cut short
     with pytest.raises(SpecError, match="more than 6"):
         build_graph(cached)  # the cached walk is held to the budget too
 
 
-def _matrix_bytes(V):
-    return V * -(-V // 64) * 8
-
-
-def test_e8_is_refused_by_the_adjacency_budget():
-    V = gr.vertex_limit()
-    assert _matrix_bytes(V) <= gr.ADJACENCY_BUDGET < _matrix_bytes(V + 1)
-    with pytest.raises(SpecError, match="E8 has more than 92672 involutions"):
-        build_graph(CoxeterGroup.from_spec("E8"))
+def test_a15_is_refused_during_the_walk():
+    grp = CoxeterGroup.from_spec("A15")  # 46,206,735 involutions
+    limit = gr.ADJACENCY_BUDGET // gr.vertex_bytes(grp)
+    assert limit > 199951  # E8's involutions, which build
+    with pytest.raises(SpecError, match=rf"A15 has more than {limit} involutions, .* "
+                                        r"more than ADJACENCY_BUDGET \("):
+        build_graph(grp)
+    assert grp._involution_perms is None
 
 
 # N-sets of 63 and 64 bits fill one uint64 word, 65 and 127 bits two
@@ -229,8 +231,7 @@ def test_two_word_rows_match_int_bitsets(monkeypatch, chunk, label):
     want = [
         sum(1 << j for j, b in enumerate(nbits) if a & b == 0) for a in nbits
     ]
-    rows = gr._pairwise_disjoint_rows(grp.n_set_words([e.perm for e in invs]))
-    assert list(E0Graph(grp, invs, rows).adj) == want
+    assert list(E0Graph(grp, invs, grp.n_set_words([e.perm for e in invs])).adj) == want
 
 
 def _n_set_case(case):
@@ -275,6 +276,113 @@ def test_kernel_matches_int_oracle(monkeypatch, chunk, case):
     want = [sum(1 << j for j, b in enumerate(nbits) if a & b == 0 and j != i)
             for i, a in enumerate(nbits)]
     assert [int.from_bytes(row.tobytes(), "little") for row in rows] == want
+
+
+def _reference_rows(words):
+    """The packed adjacency by a float product of the unpacked N-set bits,
+    256 rows at a time: bit j of row i set iff i != j and no root is in both."""
+    k, V = words.shape
+    bits = np.unpackbits(np.ascontiguousarray(words.T).view(np.uint8), axis=1,
+                         bitorder="little").astype(np.float32)
+    rows = np.zeros((V, -(-V // 64)), dtype="<u8")
+    for start in range(0, V, 256):
+        apart = bits[start : start + 256] @ bits.T < 0.5
+        apart[np.arange(len(apart)), np.arange(start, start + len(apart))] = False
+        packed = np.packbits(apart, axis=1, bitorder="little")
+        rows[start : start + 256].view(np.uint8)[:, : packed.shape[1]] = packed
+    return rows
+
+
+def _fresh_graph(case):
+    """An unbuilt graph: a finite group's, cut by length, or a ball's
+    ("<group> r<radius>"), uncut."""
+    if " r" not in case:
+        grp = group(case)
+        invs = enumerate_involutions(grp)
+        return E0Graph(grp, invs, grp.n_set_words([e.perm for e in invs]))
+    label, radius = case.split(" r")
+    grp = (InfiniteCoxeterGroup(CoxeterMatrix([[1, 3, 7], [3, 1, 3], [7, 3, 1]])) if label == "337"
+           else InfiniteCoxeterGroup(CoxeterMatrix([[1, 3, 3], [3, 1, 3], [3, 3, 1]])) if label == "A2~"
+           else InfiniteCoxeterGroup.from_spec(label))
+    g = involution_graph(grp, int(radius))
+    return E0Graph(grp, g.vertices, g.words, g.radius)
+
+
+def _blocks_match_reference(g):
+    want = _reference_rows(g.words)
+    assert g.degrees() == np.bitwise_count(want).sum(axis=1).tolist()
+    assert np.array_equal(g.rows, want)
+
+
+# the graphs the balls benchmark builds: its evidence radii plus extra, and
+# the product check's factor
+BENCH_BALLS = ["U3 r12", "U4 r8", "337 r18", "A2~ r30", "U3 r6"]
+
+
+@pytest.mark.parametrize("chunk", [gr.CHUNK_BYTES, 8])
+@pytest.mark.parametrize("case", [*SUITE, *BENCH_BALLS])
+def test_row_blocks_match_a_product(monkeypatch, chunk, case):
+    # at 8 bytes every block holds 8 rows and every table one group and word
+    monkeypatch.setattr(gr, "CHUNK_BYTES", chunk)
+    _blocks_match_reference(_fresh_graph(case))
+
+
+@pytest.mark.parametrize("label", ["B2xB2xB2xB2xB2", "E7", "B8"])
+def test_large_row_blocks_match_a_product(label):
+    _blocks_match_reference(_fresh_graph(label))
+
+
+def test_length_cut_skips_columns(monkeypatch):
+    # a length-1 row can meet all but w0 (length 63 = |Phi+|), and w0 none;
+    # the blocks table under two thirds of the (group, word) cells
+    g = _fresh_graph("E7")
+    tabled = []
+    real = gr._subset_ors
+
+    def counted(cols):
+        tabled.append(cols.shape[0] * cols.shape[2])
+        return real(cols)
+
+    monkeypatch.setattr(gr, "_subset_ors", counted)
+    assert g.edge_count() == 360564
+    W, R = -(-len(g) // 64), gr._block_rows()
+    full = -(-len(g) // R) * -(-len(g.words) * 64 // 8) * W  # (group, word) cells uncut
+    assert 0 < sum(tabled) < full * 2 / 3
+    reach = g._reach()
+    assert reach[0] == len(g) - 1 and reach[-1] == 0
+
+
+def test_e7_peak_is_below_its_matrix_and_within_its_count(monkeypatch):
+    # valencies, components, diameter and pendants hold no adjacency matrix,
+    # and the walk's count per involution covers what the build holds
+    grp = CoxeterGroup.from_spec("E7")  # fresh: nothing cached
+    tracemalloc.start()
+    try:
+        g = build_graph(grp)
+        assert valency_distribution(g).total == 10207
+        assert components_and_diameter(g)[1] == 3
+        assert pendant_report(grp).match
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10207 * -(-10207 // 64) * 8  # 13 MB
+    monkeypatch.setattr(gr, "ADJACENCY_BUDGET", peak - 1)
+    with pytest.raises(SpecError, match="E7 has more than"):
+        build_graph(CoxeterGroup.from_spec("E7"))
+
+
+def test_rows_are_budgeted(monkeypatch, capsys):
+    g = graph("A5")
+    fresh = E0Graph(g.group, g.vertices, g.words)  # 75 vertices, 2 words a row
+    monkeypatch.setattr(gr, "ADJACENCY_BUDGET", 75 * 2 * 8 - 1)
+    with pytest.raises(SpecError, match=r"A5 needs 1200 bytes, more than ADJACENCY_BUDGET \(1199"):
+        fresh.rows
+    assert fresh.edge_count() == g.edge_count()  # the valencies need no matrix
+    # the universal check scans U2's graph at radius 10: 10 vertices, 1 word a row
+    monkeypatch.setattr(gr, "ADJACENCY_BUDGET", 79)
+    assert cli.main(["verify", "lem-universal"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and "ADJACENCY_BUDGET (79" in out.err
 
 
 @pytest.mark.parametrize("label", ["A1", "A5", "I2(65)", "B2xA1xA2"])
@@ -438,7 +546,7 @@ def _components_and_diameter_oracle(g):
     return comps, hat_diameter
 
 
-@pytest.mark.parametrize("label", SUITE + ("D7", "E6", "H4"))
+@pytest.mark.parametrize("label", SUITE + ("D7", "E6", "H4", "A1xA1xA1", "B2xA1xA2"))
 def test_components_and_diameter_match_bfs(label):
     g = graph(label)
     assert components_and_diameter(g) == _components_and_diameter_oracle(g)
@@ -468,7 +576,8 @@ def test_rank_one_diameter_undefined():
 
 def test_split_hat_component_is_refused():
     g = graph("A3")
-    bare = E0Graph(g.group, g.vertices, np.zeros_like(g.rows))
+    w0 = g.vertices.index_of(g.group.longest_element())
+    bare = E0Graph(g.group, g.vertices, np.repeat(g.words[:, [w0]], len(g), axis=1))  # N = Phi+
     with pytest.raises(ValueError, match="expected one component away from w0, found 8"):
         components_and_diameter(bare)
 
@@ -497,7 +606,7 @@ def _distances_match_bfs(g):
     assert nones == 2 * (len(g) - 1)  # only the pairs with w0, both ways
 
 
-@pytest.mark.parametrize("label", ["A4", "B3", "B2xA1xA2"])
+@pytest.mark.parametrize("label", ["A4", "B3", "B2xA1xA2", "I2(7)", "A1xA1"])
 def test_graph_distance_matches_bfs(label):
     _distances_match_bfs(graph(label))
 
@@ -506,80 +615,6 @@ def test_graph_distance_matches_bfs(label):
 def test_graph_distance_in_small_chunks(label, monkeypatch):
     monkeypatch.setattr(gr, "CHUNK_BYTES", 8)  # every gather holds one row
     _distances_match_bfs(graph(label))
-
-
-def _with_edges(g, edges):
-    """A graph on g's vertices with the given edges in place of g's own."""
-    V = len(g)
-    square = np.zeros((V, 64 * -(-V // 64)), dtype=bool)
-    for i, j in edges:
-        square[i, j] = square[j, i] = True
-    rows = np.packbits(square, axis=1, bitorder="little").view("<u8")
-    return E0Graph(g.group, g.vertices, rows)
-
-
-@pytest.mark.parametrize("chunk", [gr.CHUNK_BYTES, 8])
-def test_searches_on_a_long_path(chunk, monkeypatch):
-    # the real graphs have hat diameter at most 3; a path needs every layer
-    monkeypatch.setattr(gr, "CHUNK_BYTES", chunk)
-    g = graph("A5")  # 75 vertices: two words per row
-    w0 = g.vertices.index_of(g.group.longest_element())
-    order = [v for v in range(len(g)) if v != w0]
-    path = _with_edges(g, zip(order, order[1:]))
-    comps, hat_diameter = components_and_diameter(path)
-    assert sorted(map(len, comps)) == [1, 74] and hat_diameter == 73
-    elems = g.vertices.elements
-    for start in (0, 30):
-        x = elems[order[start]]
-        want = [abs(k - start) for k in range(len(order))]
-        assert [graph_distance(path, x, elems[v]) for v in order] == want
-        assert graph_distance(path, x, elems[w0]) is None
-
-
-def _random_edges(seed, hat):
-    """Seeded random edges that connect the vertices `hat`.  Two seeds in
-    three give a spanning tree, vertex k of a random order hanging off one
-    of the `width` vertices before it (width 0: off the first, a star whose
-    centre finishes at radius 1), plus a few random edges; the third gives
-    a broom, a dense hub with one long tail, where the hub finishes early
-    and the tail's end has the largest eccentricity."""
-    rng = random.Random(seed)
-    order = rng.sample(hat, len(hat))
-    if seed % 3:
-        width = rng.choice([0, 1, 2, 3, 5, 10, len(hat)])
-        edges = [(order[k], order[rng.randrange(max(0, k - width), k) if width else 0])
-                 for k in range(1, len(order))]
-        return edges + [tuple(rng.sample(order, 2))
-                        for _ in range(rng.choice([0, 0, 1, 3, 10, 100]))]
-    hub = rng.choice([2, 3, 10, 30, 60, len(order)])
-    p = rng.choice([0.3, 0.6, 0.9])
-    edges = [(u, v) for u, v in combinations(order[:hub], 2) if rng.random() < p]
-    edges += zip(order[: hub - 1], order[1:hub])  # keeps the hub connected
-    tail = [order[rng.randrange(hub)]] + order[hub:]
-    return edges + list(zip(tail, tail[1:]))
-
-
-@pytest.fixture(scope="module")
-def random_graphs():
-    """99 seeded random graphs on A5's 75 vertices, w0 isolated, each with
-    its oracle components and hat diameter.  Built once, in setup, so that a
-    test's call time is the pass alone."""
-    g = graph("A5")
-    w0 = g.vertices.index_of(g.group.longest_element())
-    hat = [v for v in range(len(g)) if v != w0]
-    rands = [_with_edges(g, _random_edges(seed, hat)) for seed in range(99)]
-    return [(rand, _components_and_diameter_oracle(rand)) for rand in rands]
-
-
-@pytest.mark.parametrize("chunk", [gr.CHUNK_BYTES, 8])
-def test_diameter_matches_bfs_on_random_graphs(chunk, random_graphs, monkeypatch):
-    # hat diameters from 2 to 73, where the groups' are all 1 or 3
-    monkeypatch.setattr(gr, "CHUNK_BYTES", chunk)
-    diameters = set()
-    for seed, (rand, want) in enumerate(random_graphs):
-        assert components_and_diameter(rand) == want, seed
-        diameters.add(want[1])
-    assert min(diameters) == 2 and max(diameters) == 73 and len(diameters) > 20
 
 
 def test_maximal_parabolic_witnesses_at_distance_three():

@@ -721,9 +721,9 @@ def test_infinite_bond_parabolics_close_no_roots(monkeypatch):
 
 
 def test_each_maximal_parabolic_is_looked_up_once(monkeypatch):
-    # A1 x affine A2: R - {1} is infinite with no m = inf bond, refused by
-    # its cosine form, which is not positive definite; R - {2} and R - {3}
-    # are finite
+    # A1 x affine A2: R - {1} is infinite with no m = inf bond, skipped
+    # before any lookup, since its cosine form is not positive definite;
+    # R - {2} and R - {3} are finite
     m = [[1, 2, 2, 2], [2, 1, 3, 3], [2, 3, 1, 3], [2, 3, 3, 1]]
     grp = InfiniteCoxeterGroup(CoxeterMatrix(m))
     asked = []
@@ -735,9 +735,19 @@ def test_each_maximal_parabolic_is_looked_up_once(monkeypatch):
 
     monkeypatch.setattr(InfiniteCoxeterGroup, "parabolic_longest", counted)
     ev = ball_graph_diameter_evidence(grp, 3)
-    assert asked == [[2, 3, 4], [1, 3, 4], [1, 2, 4]]
+    assert asked == [[1, 3, 4], [1, 2, 4]]
     assert ev.claims[0].ok and ev.claims[0].witness["r"] == 2
     assert ev.claims[0].witness["s"] == 3
+
+
+def test_evidence_propagates_a_packing_refusal():
+    # a path of 17 nodes with its last bond infinite: R - {16} is A15 x A1
+    # (121 positive roots) and R - {17} is A16, finite, but with 136 positive
+    # roots, too many for the packed permutations; every other maximal
+    # parabolic holds the infinite bond
+    grp = InfiniteCoxeterGroup(CoxeterMatrix(coxeter._path_matrix(17, [3] * 15 + [0])))
+    with pytest.raises(SpecError, match="too many roots for the packed representation"):
+        ball_graph_diameter_evidence(grp, 3)
 
 
 def _affine_e8():
