@@ -825,6 +825,10 @@ JSON_SHA256 = {
     ("A5", 2): "5e560391dd9e280f48ca2b819065e121eced099c2084ff2cbac05fe7cd6168d6",
     ("B2xA1xA2", None): "f5d9660a65c72424b7cdbaa88978256024f8e82423ebfc1224951c6bc829062f",
     ("B2xA1xA2", 2): "d0a1b5c2c3d246174e3e87ac89344b0e9bf8018017b20322399d979543a4cc7d",
+    ("D5", None): "14bb294a98124688d3413125c956a5b6e36f9d061da80e831707ce7f5987fd6e",
+    ("D5", 2): "a3ba11e184ff80d53e8f3a1136745d6a62d99de650f6421b833f8b3a68b33dc0",
+    ("E6", None): "4f618cc409797043782616df6512372520ef0cc4b76c2bd6da4bc80ae9d95ccd",
+    ("E6", 2): "dd78b16bf98ba0f4bccee8b1660d7f94b961bc71365291f8eee6da2b1bb1c105",
 }
 
 
@@ -866,6 +870,8 @@ DOT_SHA256 = {
     "A2": "16d54c4cae75456eed5d901e30247e1dbc53ed48211e78730f290307d26ec76a",
     "A5": "b0f131366c9329f7a2d7b44d8374027d6dbbe843ef0102915fb21aa6ae318749",
     "B2xA1xA2": "73ba96ff8615867272852022f5b45cbee5c77dde3fe37807fe6f61c81a02c629",
+    "D5": "ba3131d28218c8b5f6ad6e0c38b47cf1cfdc19537cd39597340f6ef8331b723b",
+    "E6": "2af6a29c38ab497bc494212b9b24002e55425711e2114d3dd2b5727cc23eaae4",
 }
 
 
