@@ -136,8 +136,8 @@ def cmd_pendant(args):
     _require_finite(group, "pendant analysis needs a finite group")
     rep = gr.pendant_report(group)
     print(f"group {group.label}: {len(rep.computed)} pendant elements")
-    for e in sorted(rep.computed, key=lambda e: e.sort_key()):
-        print(f"  {format_word(e.word)}")
+    for _, word in sorted((e.length, e.word) for e in rep.computed):
+        print(f"  {format_word(word)}")
     print(f"closed-form prediction matches: {rep.match}")
     return 0 if rep.match else 1
 

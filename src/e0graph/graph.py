@@ -5,19 +5,21 @@ Vertices are the involutions, produced by the involution walk of
 numbered by length, ties kept in walk order.  Valencies, components, the
 diameter and the pendants do not depend on that numbering, so no word is
 computed to build or measure the graph.  Only the JSON/DOT exports show
-vertex ids: they number the vertices by (length, lexmin word), through a
-permutation each graph computes once, and write each vertex's run of edges
-to later ids with one str.join (`E0Graph._edge_blocks`).  x and y are joined
-exactly when l(xy) = l(x) + l(y), which happens iff N(x) and N(y) are
-disjoint.  The graph holds the N-sets, packed into k = ceil(|Phi+| / 64)
-machine words each (`CoxeterGroup.n_set_words`), not its adjacency: the
-complement of the boolean product N N^T of the V x |Phi+| N-set matrix,
-which `_row_blocks` yields a block of packed rows at a time.  `build_graph`
-popcounts the blocks into the valencies and keeps none, and the exports
-read them the same way.  A block of rows of length >= l reads only the
-columns of length <= |Phi+| - l, since |N(x)| + |N(y)| > |Phi+| forces two
-N-sets to meet.  The V x ceil(V/64) matrix `E0Graph.rows` is built only for
-the readers of whole rows, within `ADJACENCY_BUDGET`.
+vertex ids: they number the vertices by (length, lexmin word), a
+permutation each graph computes once, and read the row blocks of the graph
+renumbered by it, whose upper triangle, row by row, is the edge list in
+export ids; each vertex's run of edges to later ids is one str.join
+(`E0Graph._edge_blocks`).  x and y are joined exactly when l(xy) =
+l(x) + l(y), which happens iff N(x) and N(y) are disjoint.  The graph
+holds the N-sets, packed into k = ceil(|Phi+| / 64) machine words each
+(`CoxeterGroup.n_set_words`), not its adjacency: the complement of the
+boolean product N N^T of the V x |Phi+| N-set matrix, which `_row_blocks`
+yields a block of packed rows at a time.  `build_graph` popcounts the
+blocks into the valencies and keeps none, and the exports read them the
+same way.  A block of rows of length >= l reads only the columns of length
+<= |Phi+| - l, since |N(x)| + |N(y)| > |Phi+| forces two N-sets to meet.
+The V x ceil(V/64) matrix `E0Graph.rows` is built only for the readers of
+whole rows, within `ADJACENCY_BUDGET`.
 
 Components, the diameter and distances need no adjacency.  Let D(x) be the
 simple roots in N(x), the descent set of x.  A generator s has N(s) =
@@ -65,8 +67,6 @@ CHUNK_BYTES = 1 << 20
 # the most bytes the graph layer spends on one structure: the involution
 # walk, the packed adjacency matrix `E0Graph.rows`, a ball's layer
 ADJACENCY_BUDGET = 1 << 30
-# the edges the exports format at a time
-EXPORT_BLOCK = 1 << 13
 # stands for the edge list in the JSON export's frame; no label or word holds it
 _MARK = "\0edges"
 
@@ -146,7 +146,7 @@ class E0Graph:
         self.words = words
         self.radius = radius
         self._degrees = None
-        self._export = None  # (words, labels, rank), see _export_order
+        self._export = None  # (words, labels, order), see _export_order
 
     @cached_property
     def rows(self):
@@ -159,7 +159,7 @@ class E0Graph:
         if need > ADJACENCY_BUDGET:
             raise SpecError(f"the adjacency matrix of {self.group.label} needs {need} bytes, "
                             f"more than ADJACENCY_BUDGET ({ADJACENCY_BUDGET} bytes)")
-        return _pairwise_disjoint_rows(self.words, self._reach())
+        return _pairwise_disjoint_rows(self.words, self._reach(self.words))
 
     @property
     def adj(self):
@@ -198,7 +198,7 @@ class E0Graph:
         (computed once)."""
         if self._degrees is None:
             deg = np.zeros(len(self), dtype=np.int64)
-            for start, block in self._blocks():
+            for start, block in _row_blocks(self.words, self._reach(self.words)):
                 deg[start : start + len(block)] = np.bitwise_count(block).sum(axis=1)
             self._degrees = deg.tolist()
         return self._degrees
@@ -206,35 +206,18 @@ class E0Graph:
     def edge_count(self):
         return sum(self.degrees()) // 2
 
-    def _reach(self):
-        """For a finite group's graph, the columns past which each row has no
-        bit (`_row_blocks`): two N-sets with |N(x)| + |N(y)| > |Phi+| meet.
-        None for a ball's graph, whose N-sets are over the shared roots only."""
+    def _reach(self, words):
+        """For a finite group's graph on the N-set columns `words`, the
+        columns past which each row has no bit (`_row_blocks`): two N-sets
+        with |N(x)| + |N(y)| > |Phi+| meet.  None for a ball's graph, whose
+        N-sets are over the shared roots only."""
         if self.radius is not None:
             return None
-        lengths = np.bitwise_count(self.words).sum(axis=0, dtype=np.int64)
+        lengths = np.bitwise_count(words).sum(axis=0, dtype=np.int64)
         P = self.group.pos_count
         last = np.full(P + 1, -1)  # last[l]: the last vertex of length <= l
         np.maximum.at(last, lengths, np.arange(len(lengths)))
         return np.maximum.accumulate(last)[P - lengths] + 1
-
-    def _blocks(self):
-        return _row_blocks(self.words, self._reach())
-
-    def _edge_arrays(self):
-        """The edges as (i, j) index arrays, i < j, in row-major order, from
-        the row blocks, `CHUNK_BYTES` of unpacked bits at a time.  Rows are
-        unpacked from the word holding their first diagonal bit on: the words
-        left of it are all lower triangle."""
-        V = len(self)
-        step = max(1, CHUNK_BYTES // max(V, 1))
-        for first, block in self._blocks():
-            for start in range(first, first + len(block), step):
-                w = 64 * (start >> 6)  # the first column unpacked
-                bits = _bools(block[start - first : start - first + step, w >> 6 :], V - w)
-                i, j = np.divmod(np.flatnonzero(bits), V - w)
-                upper = j + w > i + start
-                yield i[upper] + start, j[upper] + w
 
     def neighborhood(self, x):
         """The set of vertices adjacent to x."""
@@ -242,34 +225,33 @@ class E0Graph:
         return {self.vertices.elements[j] for j in np.flatnonzero(_bools(self.rows[i], len(self)))}
 
     def _export_order(self):
-        """(words, labels, rank): the lexmin words in export order, their
-        `format_word` labels, and the export id of each vertex index.  Export
+        """(words, labels, order): the lexmin words in export order, their
+        `format_word` labels, and the vertex index of each export id.  Export
         ids number the vertices by (length, lexmin word); the words and
         labels are computed here only, once per graph."""
         if self._export is None:
             words = [e.word for e in self.vertices]
             # a lexmin word is reduced, so its length is the element's
             order = sorted(range(len(words)), key=lambda i: (len(words[i]), words[i]))
-            rank = np.argsort(order)  # the inverse permutation
             words = [words[i] for i in order]
-            self._export = words, np.fromiter(map(format_word, words), dtype=object, count=len(words)), rank
+            labels = np.fromiter(map(format_word, words), dtype=object, count=len(words))
+            self._export = words, labels, np.array(order)
         return self._export
 
     def _edge_text(self, head, pre, mid, post, sep, tail):
         """head, the edges in export ids and tail, as one str: edge (a, b),
         a < b, reads pre + a + mid + b + post, and sep goes between two.
         The pieces (`_edge_blocks`) are copied into one buffer of the text's
-        exact size in bytes (vertex v's id is written deg(v) times) and
+        exact size in bytes (export id a is written deg(a) times) and
         decoded once: str.join, or a str grown by +=, left heap holes that
         raised the dense benchmark's peak RSS by up to 12 MB.  The buffer is
         an anonymous mapping, outside the malloc heap: a freed heap buffer
         of that size moved glibc's mmap threshold, and the next export's
-        peak then hung on the heap's layout (86 or 95-99 MB on the dense
-        benchmark, by checkout path length alone)."""
-        *_, rank = self._export_order()
-        deg = self.degrees()
-        E = sum(deg) // 2
-        digits = np.array([len(str(i)) for i in range(len(rank))])[rank]  # of v's export id
+        peak then hung on the heap's layout."""
+        *_, order = self._export_order()
+        deg = np.array(self.degrees())[order]  # of export id a
+        E = self.edge_count()
+        digits = np.array([len(str(a)) for a in range(len(order))])
         size = (len(head.encode()) + E * len((pre + mid + post).encode())
                 + (E - 1) * len(sep.encode()) + int(np.dot(deg, digits)) + len(tail.encode()))
         with mmap.mmap(-1, size) as buf, memoryview(buf) as out:
@@ -281,25 +263,35 @@ class E0Graph:
             return str(out[:pos], "utf-8")
 
     def _edge_blocks(self, pre, mid, post, sep):
-        """The edges in row-major order, `EXPORT_BLOCK` of them a string; each
-        string but the first starts with sep.  The order is one sort of the
-        codes a * V + b (the smaller of an edge's two codes).  Each block is
-        cut where a changes, and a row's run of edges is one str.join of the
-        b ids: no edge is formatted on its own."""
-        *_, rank = self._export_order()
-        V = len(rank)
-        codes = np.concatenate([np.minimum(rank[i] * V + rank[j], rank[j] * V + rank[i])
-                                for i, j in self._edge_arrays()])
-        codes.sort()
-        ids = np.array([str(i) for i in range(V)], dtype=object)
-        for start in range(0, len(codes), EXPORT_BLOCK):
-            a, b = np.divmod(codes[start : start + EXPORT_BLOCK], V)
-            cuts = [0, *(np.flatnonzero(np.diff(a)) + 1).tolist(), len(a)]
-            names, runs = ids[b].tolist(), []
-            for s, e, row in zip(cuts, cuts[1:], a[cuts[:-1]].tolist()):
-                run = f"{pre}{row}{mid}"
-                runs.append(run + (post + sep + run).join(names[s:e]) + post)
-            yield (sep if start else "") + sep.join(runs)
+        """The edges (a, b), a < b, in export ids and in row-major order, one
+        string per `CHUNK_BYTES` chunk of unpacked rows of the graph on the
+        N-sets renumbered by export id; each string but the first starts
+        with sep, and a chunk with no edge gives none.  Rows are unpacked
+        from the word holding their first diagonal bit on: the words left of
+        it are all lower triangle.  A row's run of edges is one str.join of
+        the b ids: no edge is formatted on its own."""
+        *_, order = self._export_order()
+        V = len(order)
+        words = self.words[:, order]
+        ids = np.array([str(b) for b in range(V)], dtype=object)
+        step = max(1, CHUNK_BYTES // max(V, 1))
+        lead = ""
+        for first, block in _row_blocks(words, self._reach(words)):
+            for start in range(first, first + len(block), step):
+                w = 64 * (start >> 6)  # the first column unpacked
+                bits = _bools(block[start - first : start - first + step, w >> 6 :], V - w)
+                a, b = np.divmod(np.flatnonzero(bits), V - w)
+                upper = b + w > a + start
+                a, b = a[upper] + start, b[upper] + w
+                if not len(a):
+                    continue
+                cuts = [0, *(np.flatnonzero(np.diff(a)) + 1).tolist(), len(a)]
+                names, runs = ids[b].tolist(), []
+                for s, e, row in zip(cuts, cuts[1:], a[cuts[:-1]].tolist()):
+                    run = f"{pre}{row}{mid}"
+                    runs.append(run + (post + sep + run).join(names[s:e]) + post)
+                yield lead + sep.join(runs)
+                lead = sep
 
     def to_json(self, **kwargs):
         """`json.dumps(doc, **kwargs)` of the graph in export ids, where doc is

@@ -138,6 +138,25 @@ def test_pendant_command(capsys):
     assert "3 pendant elements" in out and "matches: True" in out
 
 
+# SHA-256 of the `pendant -g E6` output
+PENDANT_E6_SHA256 = "047b897e9b09f795fc566cb49bf2d7aa281f48792625dc8d8a04684ec3374a97"
+
+
+def test_pendant_computes_each_word_once(capsys, monkeypatch):
+    calls = []
+    lexmin = CoxeterGroup._lexmin_word
+
+    def counted(self, a):
+        calls.append(a)
+        return lexmin(self, a)
+
+    monkeypatch.setattr(CoxeterGroup, "_lexmin_word", counted)
+    code, out, _ = run(capsys, "pendant", "-g", "E6")
+    assert code == 0
+    assert len(calls) == 6
+    assert hashlib.sha256(out.encode()).hexdigest() == PENDANT_E6_SHA256
+
+
 def test_excess_word(capsys):
     # the 4-cycle [1,2,3] is one of the two members of Sym(4) with excess 2
     code, out, _ = run(capsys, "excess", "-g", "A3", "--word", "[1..3]")

@@ -67,10 +67,10 @@ def test_involution_counts(label, count):
 
 def _export_elements(g):
     """The vertices of g in export-id order; checks the export's words."""
-    words, labels, rank = g._export_order()
+    words, labels, order = g._export_order()
     assert labels.tolist() == [format_word(w) for w in words]
-    assert sorted(rank.tolist()) == list(range(len(g)))
-    elems = [g.vertices.elements[i] for i in np.argsort(rank)]
+    assert sorted(order.tolist()) == list(range(len(g)))
+    elems = [g.vertices.elements[i] for i in order]
     assert [e.word for e in elems] == words
     return elems
 
@@ -348,7 +348,7 @@ def test_length_cut_skips_columns(monkeypatch):
     W, R = -(-len(g) // 64), gr._block_rows()
     full = -(-len(g) // R) * -(-len(g.words) * 64 // 8) * W  # (group, word) cells uncut
     assert 0 < sum(tabled) < full * 2 / 3
-    reach = g._reach()
+    reach = g._reach(g.words)
     assert reach[0] == len(g) - 1 and reach[-1] == 0
 
 
@@ -799,20 +799,29 @@ def test_graph_json_shape():
 
 
 @pytest.mark.parametrize("label", ["A2", "A5", "B2xA1xA2", "I2(65)"])
-@pytest.mark.parametrize("chunk", [8, None])
+@pytest.mark.parametrize("chunk", [8, 256, None])
 def test_edges_match_bit_rows(label, chunk, monkeypatch):
+    # 8 unpacks one row a piece (two on A2) and cuts the row blocks at 8
+    # rows; 256 unpacks several rows a piece
     if chunk is not None:
         monkeypatch.setattr(gr, "CHUNK_BYTES", chunk)
-        monkeypatch.setattr(gr, "EXPORT_BLOCK", 3)
     g = graph(label)
-    want = [(i, j) for i, row in enumerate(g.adj) for j in _iter_bits(row) if j > i]
-    assert [e for i, j in g._edge_arrays() for e in zip(i.tolist(), j.tolist())] == want
+    *_, order = g._export_order()
+    rank = np.argsort(order)  # the export id of each vertex
+    # the bits of g.adj in export ids, upper triangle, row by row
+    want = sorted((int(rank[i]), int(rank[j])) for i, row in enumerate(g.adj)
+                  for j in _iter_bits(row) if rank[i] < rank[j])
     assert len(want) == g.edge_count()
-    *_, rank = g._export_order()
-    exported = sorted(tuple(sorted((int(rank[i]), int(rank[j])))) for i, j in want)
+    pieces = list(g._edge_blocks("", ",", "", ";"))
+    assert "".join(pieces) == ";".join(f"{a},{b}" for a, b in want)
+    rows = len({a for a, _ in want})
+    if chunk == 8 and len(g) > 8:
+        assert len(pieces) == rows
+    if chunk == 256 and len(g) > 8:
+        assert len(pieces) < rows
     dot = [line for line in g.to_dot().splitlines() if " -- " in line]
-    assert dot == [f"  v{i} -- v{j};" for i, j in exported]
-    assert json.loads(g.to_json())["edges"] == [[i, j] for i, j in exported]
+    assert dot == [f"  v{a} -- v{b};" for a, b in want]
+    assert json.loads(g.to_json())["edges"] == [[a, b] for a, b in want]
 
 
 # SHA-256 of to_json(indent=...) when the export encoded one whole document
@@ -834,7 +843,7 @@ JSON_SHA256 = {
 
 @pytest.mark.parametrize("label,indent", sorted(JSON_SHA256, key=str))
 def test_json_export_is_one_document(label, indent, monkeypatch):
-    monkeypatch.setattr(gr, "EXPORT_BLOCK", 4)  # several blocks even on A5
+    monkeypatch.setattr(gr, "CHUNK_BYTES", 256)  # several pieces even on A5
     text = build_graph(CoxeterGroup.from_spec(label)).to_json(indent=indent)
     assert json.dumps(json.loads(text), indent=indent) == text
     assert hashlib.sha256(text.encode()).hexdigest() == JSON_SHA256[label, indent]
@@ -844,23 +853,24 @@ def test_json_export_is_one_document(label, indent, monkeypatch):
     "kwargs", [{"indent": "\t"}, {"separators": (",", ":")}, {"sort_keys": True, "indent": 1}]
 )
 def test_json_export_takes_any_dumps_arguments(kwargs, monkeypatch):
-    monkeypatch.setattr(gr, "EXPORT_BLOCK", 4)
+    monkeypatch.setattr(gr, "CHUNK_BYTES", 256)
     g = build_graph(CoxeterGroup.from_spec("B2xA1xA2"))
     assert g.to_json(**kwargs) == json.dumps(json.loads(g.to_json()), **kwargs)
 
 
 @pytest.mark.parametrize("which", ["B2xA1xA2", "U3 ball"])
 def test_exports_do_not_depend_on_the_block(which, monkeypatch):
-    # block 1 writes every edge apart; 3 cuts some row's run of edges, and
-    # the ball has rows with no edge to a later export id
+    # CHUNK_BYTES 8 writes one row a piece and cuts the row blocks at 8
+    # rows; 256 puts several rows in a piece; the ball has rows with no edge
+    # to a later export id
     if which == "U3 ball":
         g = enumerate_ball(InfiniteCoxeterGroup.from_spec("U3"), 4).graph
     else:
         g = build_graph(CoxeterGroup.from_spec(which))
     kwargs = [{}, {"indent": 2}, {"separators": (",", ":")}]
     want = [g.to_json(**k) for k in kwargs], g.to_dot()
-    for block in (1, 3):
-        monkeypatch.setattr(gr, "EXPORT_BLOCK", block)
+    for chunk in (8, 256):
+        monkeypatch.setattr(gr, "CHUNK_BYTES", chunk)
         assert ([g.to_json(**k) for k in kwargs], g.to_dot()) == want
 
 
@@ -876,10 +886,11 @@ DOT_SHA256 = {
 
 
 @pytest.mark.parametrize("label", sorted(DOT_SHA256))
-@pytest.mark.parametrize("block", [3, 4])  # a row's edges straddle blocks
-def test_dot_export_is_pinned(label, block, monkeypatch):
-    monkeypatch.setattr(gr, "EXPORT_BLOCK", block)
-    text = build_graph(CoxeterGroup.from_spec(label)).to_dot()
+@pytest.mark.parametrize("rows", [1, 3, 4])  # rows a piece; the 8-row blocks cut some 3s
+def test_dot_export_is_pinned(label, rows, monkeypatch):
+    g = build_graph(CoxeterGroup.from_spec(label))
+    monkeypatch.setattr(gr, "CHUNK_BYTES", rows * len(g))  # `_block_rows()` is 8 below 4096
+    text = g.to_dot()
     assert hashlib.sha256(text.encode()).hexdigest() == DOT_SHA256[label]
 
 
