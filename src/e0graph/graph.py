@@ -6,9 +6,13 @@ numbered by length, ties kept in walk order.  Valencies, components, the
 diameter and the pendants do not depend on that numbering, so no word is
 computed to build or measure the graph.  Only the JSON/DOT exports show
 vertex ids: they number the vertices by (length, lexmin word), a
-permutation each graph computes once, and read the row blocks of the graph
-renumbered by it, whose upper triangle, row by row, is the edge list in
-export ids; each vertex's run of edges to later ids is one str.join
+permutation each graph computes once.  Its words come from one pass over
+the vertices by length, which peels a vertex's least left descents only
+until it reaches a shorter involution, whose word the pass already holds
+(`_lexmin_words`).  The exports read the row blocks of the graph renumbered
+by it, whose upper triangle, row by row, is the edge list in export ids;
+only the upper triangle up to each chunk's length cut is unpacked, and
+each vertex's run of edges to later ids is one str.join
 (`E0Graph._edge_blocks`).  x and y are joined exactly when l(xy) =
 l(x) + l(y), which happens iff N(x) and N(y) are disjoint.  The graph
 holds the N-sets, packed into k = ceil(|Phi+| / 64) machine words each
@@ -188,6 +192,11 @@ class E0Graph:
         rank = self.group.rank
         return tuple((1 << min(64, max(0, rank - 64 * w))) - 1 for w in range(len(self.words)))
 
+    @cached_property
+    def w0_index(self):
+        """The vertex index of w0, the longest element of a finite group."""
+        return self.vertices.index_of(self.group.longest_element())
+
     def dense(self):
         """The adjacency unpacked to a V x V bool array (V^2 bytes): for
         ball-sized graphs, whose pair scans are bool matrix products."""
@@ -213,7 +222,7 @@ class E0Graph:
         N-sets are over the shared roots only."""
         if self.radius is not None:
             return None
-        lengths = np.bitwise_count(words).sum(axis=0, dtype=np.int64)
+        lengths = _lengths(words)
         P = self.group.pos_count
         last = np.full(P + 1, -1)  # last[l]: the last vertex of length <= l
         np.maximum.at(last, lengths, np.arange(len(lengths)))
@@ -228,9 +237,13 @@ class E0Graph:
         """(words, labels, order): the lexmin words in export order, their
         `format_word` labels, and the vertex index of each export id.  Export
         ids number the vertices by (length, lexmin word); the words and
-        labels are computed here only, once per graph."""
+        labels are computed here only, once per graph: a finite group's by
+        `_lexmin_words`, a ball's are its elements' stored words."""
         if self._export is None:
-            words = [e.word for e in self.vertices]
+            if self.radius is None:
+                words = _lexmin_words(self.vertices, _lengths(self.words))
+            else:
+                words = [e.word for e in self.vertices]
             # a lexmin word is reduced, so its length is the element's
             order = sorted(range(len(words)), key=lambda i: (len(words[i]), words[i]))
             words = [words[i] for i in order]
@@ -266,25 +279,36 @@ class E0Graph:
         """The edges (a, b), a < b, in export ids and in row-major order, one
         string per `CHUNK_BYTES` chunk of unpacked rows of the graph on the
         N-sets renumbered by export id; each string but the first starts
-        with sep, and a chunk with no edge gives none.  Rows are unpacked
-        from the word holding their first diagonal bit on: the words left of
-        it are all lower triangle.  A row's run of edges is one str.join of
-        the b ids: no edge is formatted on its own."""
+        with sep, and a chunk with no edge gives none.  A chunk's rows are
+        unpacked from the word holding its first diagonal bit (the words left
+        of it are all lower triangle) up to the largest `_reach` of its rows,
+        and the lower triangle left in those bits is cleared before they are
+        read.  A row's run of edges is one str.join of the b ids: no edge is
+        formatted on its own."""
         *_, order = self._export_order()
         V = len(order)
         words = self.words[:, order]
+        reach = self._reach(words)
+        if reach is None:  # a ball's rows may reach any column
+            reach = np.full(V, V)
         ids = np.array([str(b) for b in range(V)], dtype=object)
         step = max(1, CHUNK_BYTES // max(V, 1))
         lead = ""
-        for first, block in _row_blocks(words, self._reach(words)):
+        for first, block in _row_blocks(words, reach):
             for start in range(first, first + len(block), step):
+                stop = min(start + step, first + len(block))
+                top = int(reach[start:stop].max())  # no row has a bit from column top on
+                if top <= start + 1:  # so none past its diagonal
+                    continue
                 w = 64 * (start >> 6)  # the first column unpacked
-                bits = _bools(block[start - first : start - first + step, w >> 6 :], V - w)
-                a, b = np.divmod(np.flatnonzero(bits), V - w)
-                upper = b + w > a + start
-                a, b = a[upper] + start, b[upper] + w
+                bits = _bools(block[start - first : stop - first, w >> 6 : -(-top // 64)], top - w)
+                n = min(stop, top) - w  # the columns that hold lower-triangle bits
+                bits[:, :n] &= np.arange(n) > np.arange(start - w, stop - w)[:, None]
+                a, b = np.divmod(np.flatnonzero(bits), top - w)
                 if not len(a):
                     continue
+                a += start
+                b += w
                 cuts = [0, *(np.flatnonzero(np.diff(a)) + 1).tolist(), len(a)]
                 names, runs = ids[b].tolist(), []
                 for s, e, row in zip(cuts, cuts[1:], a[cuts[:-1]].tolist()):
@@ -342,6 +366,46 @@ def build_graph(group):
     g.degrees()
     group._e0graph = g
     return g
+
+
+def _lengths(words):
+    """The length of each vertex, l(x) = |N(x)|: the popcount of its column
+    of the (k, V) N-set words."""
+    return np.bitwise_count(words).sum(axis=0, dtype=np.int64)
+
+
+def _lexmin_words(vertices, lengths):
+    """The lexmin word of each vertex of a finite group's `InvolutionSet`,
+    in its order, from one pass over the vertices by `lengths`.
+
+    The lexmin word of w != 1 is s followed by that of sw, with s the least
+    left descent of w (the shortlex normal form; Bjorner and Brenti, GTM 231,
+    ch. 3).  A vertex is peeled only until the current element is the
+    identity or a shorter involution, found in `vertices.index`, whose word
+    the pass already holds: the vertex's word is the peeled letters followed
+    by it.  The index is hashed only for elements whose square fixes the
+    first root, as an involution's does, which most peeled elements' do not.
+    """
+    group = vertices.group
+    identity, table, descents = group.identity_perm, group.gen_table, group._left_descents
+    index, elements = vertices.index, vertices.elements
+    words = [None] * len(elements)
+    for i in np.argsort(lengths, kind="stable").tolist():
+        a, peeled = elements[i].perm, []
+        while True:
+            s = min(descents(a)) + 1
+            peeled.append(s)
+            a = a.translate(table[s])  # left-multiply by r_s
+            if a[a[0]] != 0:  # a^2 moves the first root, so a is no involution
+                continue
+            if a == identity:
+                words[i] = tuple(peeled)
+                break
+            j = index.get(a)
+            if j is not None:
+                words[i] = (*peeled, *words[j])
+                break
+    return words
 
 
 def _block_rows():
@@ -499,7 +563,7 @@ def components_and_diameter(g):
         raise ValueError("rank-1 group: the component away from w0 is empty, "
                          "its diameter is undefined")
     words, S = g.words, np.array(g.simple_roots, dtype=np.uint64)
-    w0 = g.vertices.index_of(group.longest_element())
+    w0 = g.w0_index
     covered = np.count_nonzero(((words & S[:, None]) == S[:, None]).all(axis=0))  # D = S
     gens = [g.vertices.index_of(group.generator(i)) for i in group.generators]
     alone = pack_words(np.eye(group.rank, 64 * len(words), dtype=bool))  # N(s) = {a_s}
@@ -539,8 +603,7 @@ def graph_distance(g, x, y):
     i, j = g.vertices.index_of(x), g.vertices.index_of(y)
     if i == j:
         return 0
-    w0 = g.vertices.index_of(g.group.longest_element())
-    if w0 in (i, j):
+    if g.w0_index in (i, j):
         return None
     if g.has_edge(i, j):
         return 1

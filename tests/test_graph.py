@@ -140,22 +140,53 @@ def test_no_word_before_the_exports(monkeypatch):
 
 
 def test_exports_compute_each_word_once(monkeypatch):
-    calls, labels = [], []
-    lexmin = CoxeterGroup._lexmin_word
+    passes, labels = [], []
+    lexmin_words = gr._lexmin_words
 
-    def counted(self, a):
-        calls.append(a)
-        return lexmin(self, a)
+    def counted(vertices, lengths):
+        passes.append(vertices)
+        return lexmin_words(vertices, lengths)
 
     def counted_label(word):
         labels.append(word)
         return format_word(word)
 
-    monkeypatch.setattr(CoxeterGroup, "_lexmin_word", counted)
+    monkeypatch.setattr(gr, "_lexmin_words", counted)
     monkeypatch.setattr(gr, "format_word", counted_label)
     g = build_graph(CoxeterGroup.from_spec("A5"))
     g.to_json(), g.to_json(indent=2), g.to_dot()
-    assert len(calls) == len(labels) == len(g) == 75
+    assert passes == [g.vertices]  # one word pass for the graph's three exports
+    assert len(labels) == len(g) == 75
+
+
+@pytest.mark.parametrize("label,shuffled", [
+    *((label, False) for label in SUITE + ("B2xB2xB2xB2xB2", "H4", "E7")),
+    ("B2xA1xA2", True),
+])
+def test_word_pass_matches_element_words(label, shuffled):
+    vertices = enumerate_involutions(group(label))
+    if shuffled:  # the pass takes the lengths, not the vertex order
+        elems = list(vertices)
+        random.Random(label).shuffle(elems)
+        assert elems != vertices.elements
+        vertices = InvolutionSet(group(label), elems)
+    lengths = gr._lengths(vertices.group.n_set_words([e.perm for e in vertices]))
+    assert gr._lexmin_words(vertices, lengths) == [e.word for e in vertices]
+
+
+def test_word_pass_stops_at_shorter_involutions(monkeypatch):
+    calls = []
+    descents = CoxeterGroup._left_descents
+
+    def counted(self, a):
+        calls.append(a)
+        return descents(self, a)
+
+    g = graph("B2xB2xB2xB2xB2")
+    monkeypatch.setattr(CoxeterGroup, "_left_descents", counted)
+    words = gr._lexmin_words(g.vertices, gr._lengths(g.words))
+    assert len(calls) == 10885  # one per peel step
+    assert sum(map(len, words)) == 77760  # the peel steps of each word from scratch
 
 
 @pytest.mark.parametrize("label", ["A5", "B2xA1xA2"])
@@ -589,6 +620,23 @@ def test_graph_distance():
     assert graph_distance(g, grp.generator(1), grp.generator(1)) == 0
     w0 = grp.longest_element()
     assert graph_distance(g, w0, grp.generator(1)) is None
+
+
+def test_graph_distance_finds_w0_once_per_graph(monkeypatch):
+    g = build_graph(CoxeterGroup.from_spec("A4"))
+    looked_up, index_of = [], InvolutionSet.index_of
+
+    def counted(self, x):
+        looked_up.append(x)
+        return index_of(self, x)
+
+    monkeypatch.setattr(InvolutionSet, "index_of", counted)
+    w0 = g.group.longest_element()
+    others = [x for x in g.vertices if x != w0]
+    for x, y in zip(others, others[1:]):
+        graph_distance(g, x, y)
+    assert looked_up.count(w0) == 1
+    assert len(looked_up) == 2 * (len(others) - 1) + 1  # x and y per query, and w0
 
 
 def _distances_match_bfs(g):
