@@ -22,8 +22,9 @@ yields a block of packed rows at a time.  `build_graph` popcounts the
 blocks into the valencies and keeps none, and the exports read them the
 same way.  A block of rows of length >= l reads only the columns of length
 <= |Phi+| - l, since |N(x)| + |N(y)| > |Phi+| forces two N-sets to meet.
-The V x ceil(V/64) matrix `E0Graph.rows` is built only for the readers of
-whole rows, within `ADJACENCY_BUDGET`.
+One vertex's row is read off the words alone (`E0Graph.row`); the whole
+V x ceil(V/64) matrix `E0Graph.rows` is built, within `ADJACENCY_BUDGET`,
+only for a ball's pair scans and the benchmark's `adj`.
 
 Components, the diameter and distances need no adjacency.  Let D(x) be the
 simple roots in N(x), the descent set of x.  A generator s has N(s) =
@@ -69,7 +70,8 @@ from .coxeter import (
 # and the exports' unpacked bit rows
 CHUNK_BYTES = 1 << 20
 # the most bytes the graph layer spends on one structure: the involution
-# walk, the packed adjacency matrix `E0Graph.rows`, a ball's layer
+# walk, a ball's layer, and the packed adjacency matrix `E0Graph.rows` that
+# a ball's pair scans read
 ADJACENCY_BUDGET = 1 << 30
 # stands for the edge list in the JSON export's frame; no label or word holds it
 _MARK = "\0edges"
@@ -156,8 +158,9 @@ class E0Graph:
     def rows(self):
         """The packed V x ceil(V/64) little-endian uint64 adjacency matrix
         (bit j of row i set iff i and j are joined, zero padding past column
-        V), built on first use from `_row_blocks`.  Raises SpecError when it
-        would take more than `ADJACENCY_BUDGET`."""
+        V), built on first use from `_row_blocks`, for a ball's pair scans
+        and `adj`.  Raises SpecError when it would take more than
+        `ADJACENCY_BUDGET`."""
         V = len(self)
         need = V * -(-V // 64) * 8
         if need > ADJACENCY_BUDGET:
@@ -168,9 +171,9 @@ class E0Graph:
     @property
     def adj(self):
         """The rows as V-bit ints, for the benchmark's distance oracle
-        (`perfbench/workloads.py::_distance_ok`) only: it builds the whole
-        matrix `rows`, and nothing in the library reads it.  Goes once that
-        oracle calls `has_edge`."""
+        (`perfbench/workloads.py::_distance_ok`) only, and so the only
+        reader of a finite group's `rows`.  Goes once that oracle calls
+        `has_edge`."""
         return [int.from_bytes(row.tobytes(), "little") for row in self.rows]
 
     def __len__(self):
@@ -197,10 +200,16 @@ class E0Graph:
         """The vertex index of w0, the longest element of a finite group."""
         return self.vertices.index_of(self.group.longest_element())
 
-    def dense(self):
-        """The adjacency unpacked to a V x V bool array (V^2 bytes): for
-        ball-sized graphs, whose pair scans are bool matrix products."""
-        return _bools(self.rows, len(self))
+    def row(self, i):
+        """Vertex i's adjacency as V bools: the vertices whose N-sets meet
+        none of i's, tested one N-set word at a time, so that nothing wider
+        than V words is held."""
+        out = np.ones(len(self), dtype=bool)
+        for word in self.words:
+            if mine := word[i]:
+                out &= (word & mine) == 0
+        out[i] = False
+        return out
 
     def degrees(self):
         """The valencies, popcounted from the row blocks as they come
@@ -229,9 +238,9 @@ class E0Graph:
         return np.maximum.accumulate(last)[P - lengths] + 1
 
     def neighborhood(self, x):
-        """The set of vertices adjacent to x."""
-        i = self.vertices.index_of(x)
-        return {self.vertices.elements[j] for j in np.flatnonzero(_bools(self.rows[i], len(self)))}
+        """The set of vertices adjacent to x, from its `row`."""
+        elements = self.vertices.elements
+        return {elements[j] for j in np.flatnonzero(self.row(self.vertices.index_of(x)))}
 
     def _export_order(self):
         """(words, labels, order): the lexmin words in export order, their

@@ -40,9 +40,12 @@ and N(y) are disjoint (Bjorner-Brenti, GTM 231, ch. 4), so a graph needs
 only the roots that occur in its vertices' N-sets: `root_columns` keys
 those root vectors directly, once per graph, and no root system is closed.
 `involution_graph` is a finite group's `E0Graph` on the walk's
-involutions, over the roots that two N-sets share, and every pair scan of
-the evidence reports reads its packed matrix a whole block of pairs at a
-time; no evidence report enumerates a ball.
+involutions, over the roots that two N-sets share; no evidence report
+enumerates a ball.  The diameter-3 report reads two vertices' rows off
+their N-set words (`E0Graph.row`).  Whether two vertices have a common
+neighbour is whether their adjacency rows meet: the kernel's own question,
+asked of the packed rows read as words (`_no_common_neighbour`), so no
+V x V bool matrix or matrix product is built.
 """
 
 from __future__ import annotations
@@ -591,13 +594,20 @@ def ball_graph_diameter_evidence(group, radius, extra=2):
 
 
 def _pair_scan(g, radius):
-    """(a, far, near) over the n involutions of length <= radius, which come
-    first in the graph g: a is their n x V block of `g.dense()`, far[i, j]
-    marks the non-adjacent pairs i < j, and near[i, j] whether i and j have
-    a common neighbour anywhere in g."""
+    """(rows, far, alone) over the n involutions of length <= radius, which
+    come first in the graph g: rows is their n x ceil(V/64) block of the
+    packed matrix `g.rows`, far[i, j] marks the non-adjacent pairs i < j,
+    and alone[i, j] the pairs with no common neighbour anywhere in g."""
     n = sum(1 for z in g.vertices if z.length <= radius)
-    a = g.dense()[:n]
-    return a, np.triu(~a[:, :n], 1), a @ a.T
+    rows = g.rows[:n]
+    return rows, np.triu(~gr._bools(rows, n), 1), _no_common_neighbour(rows)
+
+
+def _no_common_neighbour(rows):
+    """The n x n bools of n packed adjacency rows, [i, j] set iff i != j
+    and rows i and j are disjoint: the kernel's test, with the rows read as
+    the (W, n) words of n N-sets (`graph._pairwise_disjoint_rows`)."""
+    return gr._bools(gr._pairwise_disjoint_rows(np.ascontiguousarray(rows.T)), len(rows))
 
 
 def _first_pair(mask):
@@ -606,15 +616,16 @@ def _first_pair(mask):
     return divmod(int(mask.argmax()), mask.shape[1]) if mask.any() else None
 
 
-def _single_coordinate_middle(a, far, one_coord):
+def _single_coordinate_middle(rows, far, one_coord):
     """(i, j, m): the first pair (i, j) marked in `far` with a common
     neighbour m in `one_coord`, and the first such m; None when no pair has
-    one.  a and far are as in `_pair_scan`."""
-    padded = _first_pair(far & ((a & one_coord) @ a.T))
+    one.  rows and far are as in `_pair_scan`, and one_coord is packed as
+    one of the rows."""
+    padded = _first_pair(far & ~_no_common_neighbour(rows & one_coord))
     if padded is None:
         return None
     i, j = padded
-    return i, j, int(np.argmax(a[i] & a[j] & one_coord))
+    return i, j, int(np.argmax(gr._bools(rows[i] & rows[j] & one_coord, 64 * rows.shape[1])))
 
 
 def _words(elems, indices, names=None):
@@ -623,65 +634,45 @@ def _words(elems, indices, names=None):
     return words if names is None else dict(zip(names, words))
 
 
+def _distance_2_claims(invs, far, alone, radius, searched=""):
+    """The claims [witness, failure] of a diameter-2 scan: some pair marked
+    in `far`, and none of them `alone` (see `_pair_scan`)."""
+    witness, failure = _first_pair(far), _first_pair(far & alone)
+    return [
+        Claim("some involution pair is non-adjacent (distance >= 2)", witness is not None,
+              {} if witness is None else _words(invs, witness, "xy")),
+        Claim(f"every involution pair in the radius-{radius} ball is at distance <= 2{searched}",
+              failure is None, {} if failure is None else {"pair": _words(invs, failure)}),
+    ]
+
+
 def _universal_evidence(group, radius, extra):
     g = involution_graph(group, radius + extra)
-    invs = g.vertices.elements
-    _, far, near = _pair_scan(g, radius)
-    witness = _first_pair(far)
-    failure = _first_pair(far & ~near)
-    claims = [
-        Claim(
-            "some involution pair is non-adjacent (distance >= 2)",
-            witness is not None,
-            {} if witness is None else _words(invs, witness, "xy"),
-        ),
-        Claim(
-            f"every involution pair in the radius-{radius} ball is at "
-            f"distance <= 2 (common neighbours searched at radius "
-            f"{radius + extra})",
-            failure is None,
-            {} if failure is None else {"pair": _words(invs, failure)},
-        ),
-    ]
-    return EvidenceReport(
-        "universal-diameter-2", group.label, radius, extra, 2, claims
-    )
+    _, far, alone = _pair_scan(g, radius)
+    claims = _distance_2_claims(g.vertices.elements, far, alone, radius,
+                                f" (common neighbours searched at radius {radius + extra})")
+    return EvidenceReport("universal-diameter-2", group.label, radius, extra, 2, claims)
 
 
 def _max_parabolic_evidence(group, radius, extra):
     """Diameter-3 certificate from two finite maximal parabolic subgroups."""
     R = set(group.generators)
-    longest = {}  # the first two r whose maximal parabolic on R - {r} is finite
-    for r in sorted(R):
-        if not group.parabolic_matrix(R - {r}).is_finite:
-            continue
-        longest[r] = group.parabolic_longest(R - {r})
-        if len(longest) == 2:
-            break
-    claims = []
-    if len(longest) < 2:
-        claims.append(
-            Claim("two finite maximal parabolic subgroups exist", False, {})
-        )
-        return EvidenceReport(
-            "max-parabolic-diameter-3", group.label, radius, extra, 3, claims
-        )
-    (r, x), (s, y) = longest.items()
-    claims.append(
-        Claim(
-            "two finite maximal parabolic subgroups exist",
-            True,
-            {"r": r, "s": s, "x": format_word(x.word), "y": format_word(y.word)},
-        )
-    )
+    # the first two r whose maximal parabolic on R - {r} is finite
+    finite = [r for r in sorted(R) if group.parabolic_matrix(R - {r}).is_finite][:2]
+    exists = "two finite maximal parabolic subgroups exist"
+    if len(finite) < 2:
+        claims = [Claim(exists, False, {})]
+        return EvidenceReport("max-parabolic-diameter-3", group.label, radius, extra, 3, claims)
+    r, s = finite
+    x, y = (group.parabolic_longest(R - {t}) for t in finite)
 
     # the graph reaches x and y; the scan covers the radius-`radius` ball
     g = involution_graph(group, max(radius, x.length, y.length))
     invs = g.vertices.elements
     ix, iy = g.vertices.index_of(x), g.vertices.index_of(y)
     n = sum(1 for z in invs if z.length <= radius)
-    a = g.dense()
-    scan = [k for k in np.flatnonzero(a[ix, :n] | a[iy, :n]).tolist() if k not in (ix, iy)]
+    row_x, row_y = g.row(ix), g.row(iy)
+    scan = [k for k in np.flatnonzero(row_x[:n] | row_y[:n]).tolist() if k not in (ix, iy)]
     # the descents of x, y and every scanned neighbour, from their matrices:
     # for an involution the left and right descents agree
     descents = [
@@ -689,41 +680,32 @@ def _max_parabolic_evidence(group, radius, extra):
         for row in negative(np.stack([invs[k].mat for k in [ix, iy, *scan]]), axis=1)
     ]
     descents_x, descents_y = descents[:2]
-    claims.append(
+    bad = [(invs[k], sorted(left)) for k, left in zip(scan, descents[2:])
+           for row, t in ((row_x, r), (row_y, s)) if row[k] and left != {t}]
+    claims = [
+        Claim(exists, True,
+              {"r": r, "s": s, "x": format_word(x.word), "y": format_word(y.word)}),
         Claim(
             "parabolic longest elements have every generator but one as a "
             "descent, so all their neighbours' reduced words start with the "
             "missing generator",
             descents_x == R - {r} and descents_y == R - {s},
             {"descents_x": sorted(descents_x), "descents_y": sorted(descents_y)},
-        )
-    )
-
-    bad = []
-    for k, left in zip(scan, descents[2:]):
-        for i, t in ((ix, r), (iy, s)):
-            if a[i, k] and left != {t}:
-                bad.append((invs[k], sorted(left)))
-    claims.append(
+        ),
         Claim(
             "ball scan: neighbours of the two witnesses have the forced "
             "one-generator descent set, hence the witnesses share none",
             not bad,
             {} if not bad else {"z": format_word(bad[0][0].word), "descents": bad[0][1]},
-        )
-    )
-
-    claims.append(
+        ),
         Claim(
             "the witnesses themselves are non-adjacent (distance exactly 3, "
             "given connectivity and the diameter <= 3 bound)",
-            not a[ix, iy],
+            not row_x[iy],
             {},
-        )
-    )
-    return EvidenceReport(
-        "max-parabolic-diameter-3", group.label, radius, extra, 3, claims
-    )
+        ),
+    ]
+    return EvidenceReport("max-parabolic-diameter-3", group.label, radius, extra, 3, claims)
 
 
 def product_diameter_check(specs, radius, extra=2):
@@ -775,16 +757,19 @@ def product_diameter_check(specs, radius, extra=2):
             if word := project(z.word, k):
                 coords[v, k] = vertex[word]
 
-    a, far, near = _pair_scan(g, radius)
-    n = len(a)
+    rows, far, alone = _pair_scan(g, radius)
+    n = len(rows)
     coordwise = np.ones((n, n), dtype=bool)  # an identity coordinate never blocks
     for k, fg in enumerate(factor_graphs):
         on = np.flatnonzero(coords[:n, k] >= 0)
-        coordwise[np.ix_(on, on)] &= fg.dense()[np.ix_(coords[on, k], coords[on, k])]
-    mismatch = _first_pair(np.triu(a[:, :n] != coordwise, 1))
-    failure = _first_pair(far & ~near)
-    padded = _single_coordinate_middle(a, far, (coords >= 0).sum(axis=1) == 1)
-    witness = _first_pair(far)
+        # each distinct coordinate once; equal ones get the diagonal's False
+        u, at = np.unique(coords[on, k], return_inverse=True)
+        apart = gr._bools(gr._pairwise_disjoint_rows(fg.words[:, u]), len(u))
+        coordwise[np.ix_(on, on)] &= apart[np.ix_(at, at)]
+    mismatch = _first_pair(np.triu(gr._bools(rows, n) != coordwise, 1))
+    one_coord = pack_words(((coords >= 0).sum(axis=1) == 1)[None])[:, 0]
+    padded = _single_coordinate_middle(rows, far, one_coord)
+    witness, failure = _distance_2_claims(invs, far, alone, radius)
     claims = [
         Claim(
             "adjacency in the product agrees with the coordinatewise "
@@ -792,24 +777,13 @@ def product_diameter_check(specs, radius, extra=2):
             mismatch is None,
             {} if mismatch is None else {"pair": _words(invs, mismatch)},
         ),
-        Claim(
-            f"every involution pair in the radius-{radius} ball is at "
-            "distance <= 2",
-            failure is None,
-            {} if failure is None else {"pair": _words(invs, failure)},
-        ),
+        failure,
         Claim(
             "some middle vertex is supported in a single coordinate "
             "(identity elsewhere)",
             padded is not None,
             {} if padded is None else _words(invs, padded, ("x", "y", "middle")),
         ),
-        Claim(
-            "some involution pair is non-adjacent (distance >= 2)",
-            witness is not None,
-            {} if witness is None else _words(invs, witness, "xy"),
-        ),
+        witness,
     ]
-    return EvidenceReport(
-        "product-diameter-2", group.label, radius, extra, 2, claims
-    )
+    return EvidenceReport("product-diameter-2", group.label, radius, extra, 2, claims)

@@ -352,15 +352,15 @@ def _lem_universal(rep, _):
     )
 
     g2, g3 = inf.involution_graph(u2, 6), inf.involution_graph(u3, 6)
-    a2, a3 = g2.dense(), g3.dense()
-    # the edges i < j whose ends have a common neighbour (a @ a.T), or have none
-    offenders = int((np.triu(a2, 1) & (a2 @ a2.T)).sum())
+    # the edges i < j whose ends have a common neighbour, or have none
+    e2, e3 = (np.triu(gr._bools(g.rows, len(g)), 1) for g in (g2, g3))
+    offenders = int((e2 & ~inf._no_common_neighbour(g2.rows)).sum())
     rep.require(
         "rank-2 universal group: no adjacent involution pair has a common "
         "neighbour (radius 6)",
         not offenders, expected=0, actual=offenders,
     )
-    missing = int((np.triu(a3, 1) & ~(a3 @ a3.T)).sum())
+    missing = int((e3 & inf._no_common_neighbour(g3.rows)).sum())
     rep.require(
         "rank-3 universal group: every adjacent involution pair has a common "
         "neighbour (radius 6)",

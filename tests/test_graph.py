@@ -265,6 +265,23 @@ def test_two_word_rows_match_int_bitsets(monkeypatch, chunk, label):
     assert list(E0Graph(grp, invs, grp.n_set_words([e.perm for e in invs])).adj) == want
 
 
+@pytest.mark.parametrize("case", ["I2(65)", "A1xI2(64)", "337 r18"])
+def test_row_matches_int_bitsets(case):
+    nbits, _ = _n_set_case(case)
+    g = _fresh_graph(case)
+    for i, a in enumerate(nbits):
+        assert g.row(i).tolist() == [j != i and a & b == 0 for j, b in enumerate(nbits)]
+    assert "rows" not in g.__dict__
+
+
+def test_neighborhood_builds_no_matrix():
+    g = _fresh_graph("A5")
+    elements = g.vertices.elements
+    for i, x in enumerate(elements):
+        assert g.neighborhood(x) == {elements[j] for j in range(len(g)) if g.has_edge(i, j)}
+    assert "rows" not in g.__dict__
+
+
 def _n_set_case(case):
     """(N-sets as ints, the (k, V) words the kernel reads) for a finite
     group's label, a ball "<group> r<radius>", or a hand-made case."""

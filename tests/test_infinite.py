@@ -652,6 +652,11 @@ def test_product_diameter_checks():
         product_diameter_check(["A2", "U2"], 4)
 
 
+def _packed_rows(a):
+    """The rows of a bool matrix packed as `E0Graph.rows` packs its rows."""
+    return np.ascontiguousarray(pack_words(a).T)
+
+
 def test_single_coordinate_middle_passes_over_wider_neighbours():
     # In the U_n products every first pair has a generator of another factor
     # as its first common neighbour, so a hand-built graph shows the choice:
@@ -659,10 +664,49 @@ def test_single_coordinate_middle_passes_over_wider_neighbours():
     a = np.zeros((4, 4), dtype=bool)
     for i, j in [(0, 2), (1, 2), (0, 3), (1, 3)]:
         a[i, j] = a[j, i] = True
-    far = np.triu(~a, 1)
-    one_coord = np.array([True, True, False, True])
-    assert infinite._single_coordinate_middle(a, far, one_coord) == (0, 1, 3)
-    assert infinite._single_coordinate_middle(a, far, np.zeros(4, dtype=bool)) is None
+    rows, far = _packed_rows(a), np.triu(~a, 1)
+    one_coord = _packed_rows(np.array([[True, True, False, True]]))[0]
+    assert infinite._single_coordinate_middle(rows, far, one_coord) == (0, 1, 3)
+    none = _packed_rows(np.zeros((1, 4), dtype=bool))[0]
+    assert infinite._single_coordinate_middle(rows, far, none) is None
+
+
+@pytest.mark.parametrize("group,radius", [
+    (u(2), 10),
+    (u(3), 12),
+    (u(4), 8),
+    (InfiniteCoxeterGroup(H337), 18),
+    (InfiniteCoxeterGroup.from_spec("U3xU3"), 6),
+], ids=["U2", "U3", "U4", "337", "U3xU3"])
+def test_no_common_neighbour_matches_a_product(group, radius):
+    # the independent method: the bool matrix product of the unpacked rows
+    g = infinite.involution_graph(group, radius)
+    V = len(g)
+    a = graph._bools(g.rows, V)
+    off = ~np.eye(V, dtype=bool)
+    assert np.array_equal(infinite._no_common_neighbour(g.rows), ~(a @ a.T) & off)
+    for seed in range(3):
+        mask = np.random.default_rng(seed).random(V) < 0.5
+        packed = _packed_rows(mask[None])[0]
+        got = infinite._no_common_neighbour(g.rows & packed)
+        assert np.array_equal(got, ~((a & mask) @ a.T) & off)
+    # an inner ball's rows, as the evidence reports scan them
+    n = V // 2
+    assert np.array_equal(infinite._no_common_neighbour(g.rows[:n]), ~(a[:n] @ a[:n].T) & off[:n, :n])
+
+
+def test_diameter_3_report_builds_no_matrix(monkeypatch):
+    # the report reads two rows off the N-set words, and no row block
+    def refuse(*args, **kwargs):
+        raise AssertionError("the diameter-3 report built a row block")
+
+    monkeypatch.setattr(graph, "_row_blocks", refuse)
+    for label in ("337 r10", "337 r4", "A2~ r10"):
+        name, radius = label.split(" r")
+        group = InfiniteCoxeterGroup(H337 if name == "337" else AFFINE_A2)
+        report = ball_graph_diameter_evidence(group, int(radius))
+        text = report.to_json(indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == EVIDENCE_SHA256[label]
 
 
 def test_evidence_json_shape():
