@@ -208,7 +208,8 @@ class InfiniteCoxeterGroup(GeometricGroup):
 
     def element_from_word(self, word):
         """Element with the given letters; the stored word is its lexmin word,
-        and its matrix is stepped along that word, as in `Ball.mats`."""
+        and its matrix is stepped along that word, bit for bit as `Ball.mats`
+        holds it."""
         word = self.reduce_word(word)
         return MatrixElement(self, self._word_mat(word), word)
 
@@ -311,9 +312,9 @@ class Ball:
     generator `_gen[p]` times member `_parent[p]`, and its lexmin word is
     that letter followed by the parent's (the identity, at position 0, has
     neither).  Words are read by walking parent positions.  `mats` and
-    `elements` are built on first use, each matrix stepped along its word
-    as `element_from_word` steps it; so are the involutions (one walk at
-    the ball's radius) and `graph` on them.
+    `elements` are built on first use, each matrix bit for bit the one
+    `element_from_word` steps along its word; so are the involutions (one
+    walk at the ball's radius) and `graph` on them.
     """
 
     def __init__(self, group, radius, layers):
@@ -335,12 +336,27 @@ class Ball:
 
     @cached_property
     def mats(self):
-        """Every member's matrix, stepped along its word from the identity."""
+        """Every member's matrix, as stepped along its word from the identity.
+
+        A lexmin word less its last letter is lexmin, so it is a member:
+        each matrix is that prefix's stepped once, by the last letter.  A
+        member's last letter is its parent's, and its prefix is the member
+        with its first letter and, as parent, the prefix of its parent;
+        the (letter, parent) pairs of a layer are sorted, so that member is
+        found by one `np.searchsorted` a layer.
+        """
         mats = np.repeat(self.group.identity_mat[None], len(self), axis=0)
-        for lo, letters in zip(self._starts, self._letters()):
-            hi = lo + len(letters)
-            for s in letters.T - 1:
-                mats[lo:hi] = self.group._mul_gens(mats[lo:hi], s)
+        prefix = np.zeros(len(self), dtype=np.intp)
+        last = self._gen.copy()
+        pairs = self._gen * len(self) + self._parent  # sorted within a layer
+        starts = self._starts  # [a, lo) is the layer before [lo, hi)
+        for a, lo, hi in zip(starts, starts[1:], starts[2:]):
+            if a:  # length 2 and on; at length 1 the prefix is the identity
+                up = self._parent[lo:hi]
+                last[lo:hi] = last[up]
+                prefix[lo:hi] = a + np.searchsorted(
+                    pairs[a:lo], self._gen[lo:hi] * len(self) + prefix[up])
+            mats[lo:hi] = self.group._mul_gens(mats[prefix[lo:hi]], last[lo:hi] - 1)
         mats.flags.writeable = False
         return mats
 
@@ -380,11 +396,16 @@ def enumerate_ball(group, radius):
 
     A layer holds the matrices of its members' inverses, so the left
     ascents s of a member w are the columns of w^-1 with a positive sum,
-    and (s w)^-1 = w^-1 s is one `_mul_gens` step.  s w is kept only when s
+    and (s w)^-1 = w^-1 s is one generator step.  s w is kept only when s
     is its least left descent, the least negative column of (s w)^-1: so
     every element is kept once, from one parent, and no candidate is
     compared with another.  Its lexmin word is s followed by w's, so the
     candidates, taken in (s, w) order, come out in (length, word) order.
+
+    Each layer's columns are signed once: the signs that pick the kept
+    candidates are the next layer's descents.  The candidates' letters are
+    sorted, so each generator's run of the gathered matrices is stepped in
+    place, entry for entry as `_mul_gens` steps it.
 
     A layer whose arrays would take more than `graph.ADJACENCY_BUDGET` bytes
     at its peak raises SpecError before its candidates are allocated.
@@ -393,17 +414,19 @@ def enumerate_ball(group, radius):
         raise ValueError("radius must be >= 0")
     n = group.rank
     inv = group.identity_mat[None]  # the matrices of the layer's inverses
+    neg = negative(inv, axis=1)  # the signs of their columns
     zero = np.zeros(1, dtype=np.intp)
     layers = [(zero, zero)]
     start = 0  # the position of the layer's first member
     for length in range(1, radius + 1):
-        g, f = np.nonzero(~negative(inv, axis=1).T)  # l(s w) > l(w), in (s, w) order
+        g, f = np.nonzero(~neg.T)  # l(s w) > l(w), in (s, w) order
         if not len(f):
             break
-        # the peak is in `_mul_gens`: the layer's matrices, and per candidate
-        # its gathered matrix, the rank-one product and their difference
-        # (n x n floats each), its gathered column and form row (n each) and
-        # f and g; besides them, the two index arrays of each member so far
+        # an upper bound on the peak: the layer's matrices, three n x n
+        # floats and 2n + 2 words per candidate, and the two index arrays of
+        # each member so far.  Per candidate, at most two n x n floats are
+        # alive at once (its gathered matrix, and its run's product or its
+        # kept copy), and f, g, the sums and the signs take under n + 3 words
         need = 8 * ((len(inv) + 3 * len(f)) * n * n + (2 * n + 2) * len(f)
                     + 2 * (start + len(inv)))
         if need > gr.ADJACENCY_BUDGET:
@@ -414,11 +437,16 @@ def enumerate_ball(group, radius):
         members = len(inv)
         # the candidates take the name inv, so that neither the layer nor,
         # once the kept ones are copied, the candidates outlive their use
-        inv = group._mul_gens(inv[f], g)
-        keep = negative(inv, axis=1).argmax(axis=1) == g
+        inv = inv[f]
+        runs = np.searchsorted(g, np.arange(n + 1)).tolist()
+        for s, (lo, hi) in enumerate(zip(runs, runs[1:])):
+            c = inv[lo:hi]
+            c -= c[:, :, s, None] * group._form2[s]
+        neg = negative(inv, axis=1)
+        keep = neg.argmax(axis=1) == g
         layers.append((f[keep] + start, g[keep] + 1))
         start += members
-        inv = inv[keep]
+        inv, neg = inv[keep], neg[keep]
     return Ball(group, radius, layers)
 
 
@@ -474,25 +502,31 @@ def walk_involutions(group, radius):
     identity this way (Richardson-Springer 1990; Hultman 2005), from each
     of its descents, and nothing else is visited.  y is kept only when s is
     its least descent, so it is kept once, as in `enumerate_ball`, and no
-    candidate is compared with another.  Words come last, for every length
-    at once (`_lexmin_involutions`), whose split check guards that rule.
+    candidate is compared with another.  The signs that pick the kept y are
+    carried to the round that steps them, so no column is summed twice.
+    Words come last, for every length at once (`_lexmin_involutions`),
+    whose split check guards that rule.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     mats = group.identity_mat[None]
+    neg = negative(mats, axis=1)  # the signs of their columns
     layers = []
-    sxs = mats[:0]  # the kept involutions two longer than the last layer
+    # the kept involutions two longer than the last layer, and their signs
+    sxs, sxs_neg = mats[:0], neg[:0]
     for _ in range(radius):
-        f, s = np.nonzero(~negative(mats, axis=1))  # l(xs) > l(x)
+        f, s = np.nonzero(~neg)  # l(xs) > l(x)
         image = mats[f, :, s]  # x . a_s
         image[np.arange(len(s)), s] -= np.einsum("mk,mk->m", group._form2[s], image)
         fixed = negative(image)  # s x . a_s < 0, so x . a_s = a_s
         y = group._mul_gens(mats[f], s)  # xs, and sxs (row s of xs less 2 <a_s, .> xs)
         m = np.flatnonzero(~fixed)
         y[m, s[m]] -= np.einsum("mk,mkj->mj", group._form2[s[m]], y[m])
-        keep = negative(y, axis=1).argmax(axis=1) == s  # s is y's least descent
-        mats = np.concatenate([sxs, y[keep & fixed]])
-        sxs = y[keep & ~fixed]
+        y_neg = negative(y, axis=1)
+        keep = y_neg.argmax(axis=1) == s  # s is y's least descent
+        now, later = keep & fixed, keep & ~fixed
+        mats, neg = np.concatenate([sxs, y[now]]), np.concatenate([sxs_neg, y_neg[now]])
+        sxs, sxs_neg = y[later], y_neg[later]
         layers.append(mats)
         if not len(mats) and not len(sxs):
             break

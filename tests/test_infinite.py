@@ -242,7 +242,8 @@ def inverse_words(group, ball):
     return out
 
 
-@pytest.mark.parametrize("group,radius", [
+# six balls: hyperbolic, universal, affine, reducible and finite
+SIX_BALLS = pytest.mark.parametrize("group,radius", [
     (InfiniteCoxeterGroup(H337), 20),
     (u(3), 12),
     (u(4), 8),
@@ -250,6 +251,9 @@ def inverse_words(group, ball):
     (InfiniteCoxeterGroup.from_spec("U3xU3"), 6),
     (InfiniteCoxeterGroup(parse_group_spec("B3").coxeter_matrix()), 12),
 ], ids=["337", "U3", "U4", "A2~", "U3xU3", "B3"])
+
+
+@SIX_BALLS
 def test_walk_matches_the_ball_filtered(ball_of, group, radius):
     # the ball's members with w = w^-1, by their inverses' words
     ball = ball_of(group, radius)
@@ -261,6 +265,71 @@ def test_walk_matches_the_ball_filtered(ball_of, group, radius):
     assert [z.key for z in got] == [e.key for e in want]
     assert all(np.array_equal(z.mat, e.mat) for z, e in zip(got, want))  # bit for bit
     assert all(group.element_from_word(z.word).key == z.key for z in got)
+
+
+def two_pass_layers(group, radius):
+    """`enumerate_ball`'s layer loop with one `_mul_gens` product of the
+    gathered layer, and two sign passes a layer (the ascents, then the
+    least descents of the candidates): its parent and letter arrays."""
+    inv, parent, gen, start = group.identity_mat[None], [[0]], [[0]], 0
+    for _ in range(radius):
+        g, f = np.nonzero(~negative(inv, axis=1).T)
+        if not len(f):
+            break
+        cand = group._mul_gens(inv[f], g)
+        keep = negative(cand, axis=1).argmax(axis=1) == g
+        parent.append(f[keep] + start)
+        gen.append(g[keep] + 1)
+        start += len(inv)
+        inv = cand[keep]
+    return np.concatenate(parent), np.concatenate(gen)
+
+
+@SIX_BALLS
+def test_ball_layers_match_the_two_pass_loop(monkeypatch, group, radius):
+    want_parent, want_gen = two_pass_layers(group, radius)
+    calls = []
+
+    def counted(roots, axis=-1):
+        calls.append(axis)
+        return negative(roots, axis)
+    monkeypatch.setattr(infinite, "negative", counted)
+    ball = enumerate_ball(group, radius)
+    assert np.array_equal(ball._parent, want_parent)
+    assert np.array_equal(ball._gen, want_gen)
+    assert len(calls) == len(ball._starts) - 1  # one per layer, the identity's too
+
+
+@SIX_BALLS
+def test_ball_mats_match_each_word_stepped(ball_of, group, radius):
+    # every member's whole word stepped from the identity, a letter
+    # position of a layer at a time
+    ball = ball_of(group, radius)
+    want = np.repeat(group.identity_mat[None], len(ball), axis=0)
+    for lo, letters in zip(ball._starts, ball._letters()):
+        hi = lo + len(letters)
+        for s in letters.T - 1:
+            want[lo:hi] = group._mul_gens(want[lo:hi], s)
+    assert ball.mats.tobytes() == want.tobytes()  # bit for bit
+
+
+def test_negative_is_the_sign_of_the_plain_sum(ball_of):
+    # on root data, where the margin of 1 holds (random floats can sum to
+    # about 0): every shape and axis the library passes
+    mats = ball_of(InfiniteCoxeterGroup(H337), 20).mats
+    cols = mats.transpose(0, 2, 1).reshape(-1, 3)  # entries reach 2.2e4
+    e7 = np.array(generate_root_system(parse_group_spec("E7").coxeter_matrix()).pos_roots)
+    roots = np.concatenate([e7, -e7])
+    for x, axis in [(mats, 1), (mats, -2), (np.moveaxis(mats, 1, 0), 0),
+                    (cols, -1), (roots, -1), (roots, 1)]:
+        got = negative(x, axis)
+        assert got.shape == x.sum(axis).shape
+        assert np.array_equal(got, x.sum(axis) < 0)
+    assert 0 < np.count_nonzero(negative(cols)) < len(cols)
+    for m in mats[::1009]:  # one matrix, as `reduce_word` signs it
+        assert np.array_equal(negative(m, axis=0), m.sum(0) < 0)
+    for row in chain(cols[::997], roots):  # 1-D rows
+        assert negative(row) == (row.sum() < 0)
 
 
 @pytest.mark.parametrize("n,radius", [(3, 20), (4, 14)])
