@@ -162,6 +162,45 @@ _ORDERS = {
 }
 
 
+def telephone(n):
+    """T(n): involutions of Sym(n) including the identity, by
+    T(n) = T(n - 1) + (n - 1) T(n - 2): n is fixed or paired with another."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    a, b = 1, 1  # T(-1) stands in as 1: the (n - 1) factor of T(1) is 0
+    for m in range(1, n + 1):
+        a, b = b, b + (m - 1) * a
+    return b
+
+
+def _signed_involutions(n):
+    """b(n): the involutions of B_n, signed permutations w with w^2 = 1, by
+    b(n) = 2 b(n - 1) + 2 (n - 1) b(n - 2): n is fixed up to sign, or swapped
+    with one of n - 1 others, both images carrying one sign."""
+    a, b = 1, 1  # b(-1) stands in as 1, as in `telephone`
+    for m in range(1, n + 1):
+        a, b = b, 2 * b + 2 * (m - 1) * a
+    return b
+
+
+# |{w : w^2 = 1}|, the identity included, of each irreducible finite factor.
+# D_n takes B_n's signed involutions with an even number of negative fixed
+# points (a swapped pair carries two like signs): half of them all, plus half
+# of those with no fixed point, (n - 1)!! 2^(n/2) of them for even n.  The
+# E, F and H counts are those of the involution walk, which checks each
+# group it runs against them (`CoxeterGroup.involution_perms`).
+_INVOLUTIONS = {
+    "A": lambda n: telephone(n + 1),
+    "B": _signed_involutions,
+    "D": lambda n: (_signed_involutions(n)
+                    + (1 - n % 2) * math.prod(range(n - 1, 0, -2)) * (1 << n // 2)) // 2,
+    "E": lambda n: {6: 892, 7: 10208, 8: 199952}[n],
+    "F": lambda n: 140,
+    "H": lambda n: {3: 32, 4: 572}[n],
+    "I2": lambda m: m + 2 - m % 2,  # m reflections, the identity, w0 for even m
+}
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """Parsed group label: a product of irreducible factors."""
@@ -192,6 +231,13 @@ class GroupSpec:
         for f, p in self.factors:
             out *= _ORDERS[f](p)
         return out
+
+    def involution_count(self):
+        """The non-identity involutions, or None when infinite.  An element
+        of a product squares to 1 iff each coordinate does."""
+        if not self.is_finite:
+            return None
+        return math.prod(_INVOLUTIONS[f](p) for f, p in self.factors) - 1
 
     def coxeter_matrix(self):
         return build_coxeter_matrix(self)
@@ -499,7 +545,7 @@ def parse_word(text):
 
 
 def format_word(word):
-    return "[" + ",".join(str(i) for i in word) + "]"
+    return "[" + ",".join(map(str, word)) + "]"
 
 
 def ascending(i, j):
@@ -573,8 +619,9 @@ class Element:
 
     @property
     def key(self):
-        """The hashable identity of the element, like `MatrixElement.key`."""
-        return self.perm
+        """The hashable identity of the element, like `MatrixElement.key`:
+        its N-set as an int (`CoxeterGroup._n_bits`), which determines it."""
+        return self.group._n_bits(self.perm)
 
     def n_set(self):
         """Positive-root indices sent negative by this element."""
@@ -702,11 +749,13 @@ class CoxeterGroup(GeometricGroup):
         return int(a[: self.pos_count].translate(self._sign_digits)[::-1], 2)
 
     def n_set_words(self, perms):
-        """The N-sets of `perms` as `pack_words` packs them, k = ceil(|Phi+| / 64):
-        bit p of column v across the k words is bit p of `_n_bits(perms[v])`."""
+        """The N-sets of `perms`, bytes objects or the rows of a (V, 2 |Phi+|)
+        uint8 array, as `pack_words` packs them, k = ceil(|Phi+| / 64): bit p
+        of column v across the k words is bit p of `_n_bits(perms[v])`."""
         P = self.pos_count
-        a = np.frombuffer(b"".join(perms), dtype=np.uint8).reshape(len(perms), 2 * P)
-        return pack_words(a[:, :P] >= P)
+        if not isinstance(perms, np.ndarray):
+            perms = np.frombuffer(b"".join(perms), dtype=np.uint8).reshape(len(perms), 2 * P)
+        return pack_words(perms[:, :P] >= P)
 
     def _length(self, a):
         """|N(a)|: the positive roots a sends negative."""
@@ -796,48 +845,97 @@ class CoxeterGroup(GeometricGroup):
         return [Element(self, p) for p in self.enumerate_perms()]
 
     def involution_perms(self, limit=None):
-        """The non-identity involutions, as a tuple of raw permutations (cached).
+        """The non-identity involutions, by length, as the rows of one
+        (V, 2 |Phi+|) uint8 array of root permutations (cached).
 
-        Walks up from the identity with the ascending twisted-involution step
-        (Richardson-Springer): for an involution x and a generator s with
-        l(sx) > l(x), the next involution is sx when s and x commute and sxs
-        otherwise.  Every involution is reached, and nothing else is visited.
-        An ascent s commutes with x exactly when x fixes alpha_s.  The tuple
-        is in discovery order (frontier order, then generator order), so it
-        is the same in every run.
-
-        With a `limit`, raises SpecError as soon as the walk finds more than
-        `limit` involutions, so a group too large for the caller is refused
-        without being walked whole.
+        A group whose exact count (`GroupSpec.involution_count`) is more than
+        `limit` is refused before the walk; one with no count, given by its
+        Coxeter matrix alone, as soon as the walk finds more than `limit`.
+        Both raise SpecError.  A walk whose count is not the exact one raises
+        ToleranceError.
         """
-        too_many = f"{self.label} has more than {limit} involutions"
+        cap = math.inf if limit is None else limit
+        count = None if self.spec is None else self.spec.involution_count()
         perms = self._involution_perms
+        known = count if perms is None else len(perms)
+        if known is not None and known > cap:
+            raise SpecError(f"{self.label} has more than {limit} involutions")
         if perms is None:
-            P = self.pos_count
-            cap = math.inf if limit is None else limit
-            seen = {self.identity_perm}
-            found = []
-            frontier = [self.identity_perm]
-            while frontier:
-                start = len(found)
-                for x in frontier:
-                    for i in self.generators:
-                        image = x[i - 1]
-                        if image >= P:  # descent: sx is shorter
-                            continue
-                        y = x.translate(self.gen_table[i])  # sx
-                        if image != i - 1:
-                            y = self.gen_perm[i].translate(y + self._pad)  # sxs
-                        if y not in seen:
-                            seen.add(y)
-                            found.append(y)
-                            if len(found) > cap:
-                                raise SpecError(too_many)
-                frontier = found[start:]
-            self._involution_perms = perms = tuple(found)
-        elif limit is not None and len(perms) > limit:
-            raise SpecError(too_many)
+            perms = self._involution_perms = self._walk_involutions(cap, count)
         return perms
+
+    def _walk_involutions(self, cap, count):
+        """The walk of `involution_perms`, one length at a time.
+
+        It steps up from the identity with the ascending twisted-involution
+        step (Richardson-Springer): for an involution x and a generator s
+        with l(sx) > l(x), the next involution is sx, one longer, when s and
+        x commute, and sxs, two longer, otherwise.  Every involution is
+        reached, and nothing else is visited.  An ascent s commutes with x
+        exactly when x fixes alpha_s.  So layer L comes from layers L - 1 and
+        L - 2 alone, and an involution found twice is dropped by its N-set,
+        which determines it.  A layer keeps its first finds in the order they
+        are made (by generator, sx before sxs, then by row), the same in
+        every run.
+
+        When w0 is central, sending every simple root to its negative (so
+        w0 = -1), N(w0 x) = Phi+ - N(x) and x -> w0 x maps the involutions of
+        length L onto those of length |Phi+| - L (Bjorner and Brenti, GTM 231,
+        2.3).  The walk then stops at length |Phi+| // 2, and each longer
+        layer is w0 times a shorter one, one gather.  Raises SpecError once
+        more than `cap` involutions are found, mirrors included.
+
+        With the exact `count`, each layer is written into one array of that
+        many rows as it is made, and a walk that finds another number raises
+        ToleranceError; with none, the layers are joined at the end.
+        """
+        P, rank = self.pos_count, self.rank
+        gens = np.frombuffer(b"".join(self.gen_perm.values()), np.uint8).reshape(rank, 2 * P)
+        w0 = np.frombuffer(self.longest_element().perm, np.uint8)
+        central = bool((w0[:rank] == np.arange(P, P + rank)).all())
+        top = P // 2 if central else P
+        out = np.empty((count or 0, 2 * P), np.uint8)
+        written = 0  # the rows of out filled
+
+        def keep(layer):
+            nonlocal written
+            if count is None:
+                return layer
+            if written + len(layer) > count:
+                raise ToleranceError(f"the involution walk found more than {count} "
+                                     f"involutions of {self.label}")
+            out[written : written + len(layer)] = layer
+            written += len(layer)
+            return out[written - len(layer) : written]
+
+        layers = [np.frombuffer(self.identity_perm, np.uint8)[None]]
+        found = 0  # mirrors included
+        for L in range(1, top + 1):
+            steps = []
+            for i, s in enumerate(gens):
+                x = layers[L - 1]
+                steps.append(s.take(x[x[:, i] == i]))  # sx, s an ascent fixed by x
+                if L > 1:
+                    x, image = layers[L - 2], layers[L - 2][:, i]
+                    steps.append(s.take(x[(image < P) & (image != i)][:, s]))  # sxs
+            layer = np.concatenate(steps)
+            words = pack_words(layer[:, :P] >= P)
+            order = np.lexsort(words)  # stable: each N-set's first find leads
+            runs = words[:, order]
+            first = np.ones(len(order), dtype=bool)
+            first[1:] = (runs[:, 1:] != runs[:, :-1]).any(axis=0)
+            layers.append(keep(layer[np.sort(order[first])]))
+            found += len(layers[L]) * (2 if central and 2 * L < P else 1)
+            if found > cap:
+                raise SpecError(f"{self.label} has more than {cap} involutions")
+        if central:
+            layers.extend(keep(w0.take(x)) for x in layers[P - top - 1 :: -1])
+        if count is None:
+            return np.concatenate(layers[1:])
+        if written != count:
+            raise ToleranceError(f"the involution walk found {written} involutions "
+                                 f"of {self.label}, not {count}")
+        return out
 
     # -- parabolic subgroups and coset representatives -------------------------
 

@@ -1,30 +1,38 @@
 """The excess-zero graph on the non-identity involutions of a finite group.
 
 Vertices are the involutions, produced by the involution walk of
-`CoxeterGroup.involution_perms` (the rest of the group is never visited) and
-numbered by length, ties kept in walk order.  Valencies, components, the
-diameter and the pendants do not depend on that numbering, so no word is
-computed to build or measure the graph.  Only the JSON/DOT exports show
-vertex ids: they number the vertices by (length, lexmin word), a
-permutation each graph computes once.  Its words come from one pass over
-the vertices by length, which peels a vertex's least left descents only
-until it reaches a shorter involution, whose word the pass already holds
-(`_lexmin_words`).  The exports read the row blocks of the graph renumbered
-by it, whose upper triangle, row by row, is the edge list in export ids;
-only the upper triangle up to each chunk's length cut is unpacked, and
-each vertex's run of edges to later ids is one str.join
-(`E0Graph._edge_blocks`).  x and y are joined exactly when l(xy) =
-l(x) + l(y), which happens iff N(x) and N(y) are disjoint.  The graph
-holds the N-sets, packed into k = ceil(|Phi+| / 64) machine words each
-(`CoxeterGroup.n_set_words`), not its adjacency: the complement of the
-boolean product N N^T of the V x |Phi+| N-set matrix, which `_row_blocks`
-yields a block of packed rows at a time.  `build_graph` popcounts the
-blocks into the valencies and keeps none, and the exports read them the
-same way.  A block of rows of length >= l reads only the columns of length
-<= |Phi+| - l, since |N(x)| + |N(y)| > |Phi+| forces two N-sets to meet.
-One vertex's row is read off the words alone (`E0Graph.row`); the whole
-V x ceil(V/64) matrix `E0Graph.rows` is built, within `ADJACENCY_BUDGET`,
-only for a ball's pair scans and the benchmark's `adj`.
+`CoxeterGroup.involution_perms` one length at a time (the rest of the group
+is never visited, and a central w0 mirrors the longer half) and numbered by
+length.  They are held as arrays, a `FiniteInvolutionSet`: one uint8 row of
+root permutation and one column of N-set words a vertex, and an index
+keyed by N-set.  An `Element` is built only at the output boundary: the
+pendants, the neighbourhoods, and whoever iterates over the set.
+Valencies, components, the diameter and the pendants do not depend on the
+numbering, so no word is computed to build or measure the graph.  Only
+the JSON/DOT exports show vertex ids: they number the vertices by (length,
+lexmin word), a permutation each graph computes once.  Its words come from
+one pass over the vertices by length, which peels a vertex's least left
+descents only until it reaches a shorter involution, whose word the pass
+already holds (`_lexmin_words`).  The exports read the row blocks of the
+graph renumbered by it, whose upper triangle, row by row, is the edge list
+in export ids; only the upper triangle up to each chunk's length cut is
+unpacked, and each vertex's run of edges to later ids is one str.join
+(`E0Graph._edge_blocks`).
+
+x and y are joined exactly when l(xy) = l(x) + l(y), which happens iff
+N(x) and N(y) are disjoint.  The graph holds the N-sets, packed into k =
+ceil(|Phi+| / 64) machine words each (`CoxeterGroup.n_set_words`), not its
+adjacency: the complement of the boolean product N N^T of the V x |Phi+|
+N-set matrix, which one kernel (`_Kernel`, the Four Russians method) reads
+two ways.  `build_graph` sums the valencies one chunk of columns at a time
+(`_degrees`): each chunk's tables are built once for all rows, and no block
+of rows is held.  The exports and `E0Graph.rows` read the matrix a block of
+packed rows at a time (`_row_blocks`).  A row of length l reads only the
+columns of length <= |Phi+| - l, since |N(x)| + |N(y)| > |Phi+| forces two
+N-sets to meet.  One vertex's row is read off the words alone
+(`E0Graph.row`); the whole V x ceil(V/64) matrix `E0Graph.rows` is built,
+within `ADJACENCY_BUDGET`, only for a ball's pair scans and the benchmark's
+`adj`.
 
 Components, the diameter and distances need no adjacency.  Let D(x) be the
 simple roots in N(x), the descent set of x.  A generator s has N(s) =
@@ -36,18 +44,20 @@ D(x) | D(y) = S there is none, as every vertex z has a descent t, with a_t
 in N(z) and in N(x) or N(y).  `graph_distance` and
 `components_and_diameter` read this off the N-set words.
 
-The walk stops, and the group is refused, once its involutions would take
-more than `ADJACENCY_BUDGET` (`vertex_bytes`): E8, A11 and D9 build, A15 is
-refused.  A ball of an infinite group (`infinite.Ball.graph`) is the same
-`E0Graph` on the ball's involutions, with its N-sets packed by the same
-`pack_words` and its rows from the same `_row_blocks`, uncut.
+A group is refused when its involutions would take more than
+`ADJACENCY_BUDGET` at `vertex_bytes` each: before the walk, from the exact
+count of a labelled group (`GroupSpec.involution_count`), and, for a group
+given by its Coxeter matrix alone, as soon as the walk finds too many.  E8
+and B10 build; A15 is refused at once.  A ball of an infinite group
+(`infinite.Ball.graph`) is the same `E0Graph` on the ball's involutions, an
+`InvolutionSet` of its members, with its N-sets packed by the same
+`pack_words` and read by the same kernel, uncut.
 """
 
 from __future__ import annotations
 
 import json
 import mmap
-import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -78,22 +88,22 @@ _MARK = "\0edges"
 
 
 def vertex_bytes(group):
-    """The bytes the walk and the graph hold per involution at their peak:
-    its permutation (a bytes object of 2 |Phi+| bytes) and its copy in the
-    length sort, its N-set words, its bits in the row blocks of
-    `_row_blocks`, and 256 bytes for its `Element` (48 bytes), its slots in
-    the walk's seen set and lists and in the vertex index, and its valency,
-    with room to spare."""
+    """The bytes the vertex set and the graph hold per involution at their
+    peak: its row of the walk's permutation array (2 |Phi+| bytes) and its
+    N-set words, then 256 bytes: its N-set key and slot in the index (about
+    100), its valency as an int64 and as an int in a list (44), its length,
+    reach and kernel bytes (about 40), with room to spare, which also covers
+    the walk's transients (a layer's repeated finds, with their words and
+    sort order, before they are dropped)."""
     P = group.pos_count
-    return sys.getsizeof(group.identity_perm) + 2 * P + 8 * -(-P // 64) + _block_rows() // 8 + 256
+    return 2 * P + 8 * -(-P // 64) + 256
 
 
 class InvolutionSet:
     """Non-identity involutions in a fixed order, indexed by element key.
 
-    `enumerate_involutions` orders a finite group's by length, ties kept in
-    walk order; a ball keeps its (length, word) order.  Finite indices are
-    internal: the exports renumber the vertices (see `E0Graph.to_json`).
+    This is a ball's: its list of members in (length, word) order.  A finite
+    group's is a `FiniteInvolutionSet`.
     """
 
     def __init__(self, group, elements):
@@ -102,10 +112,13 @@ class InvolutionSet:
         self.index = {e.key: i for i, e in enumerate(elements)}
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.index)
 
     def __iter__(self):
         return iter(self.elements)
+
+    def element(self, i):
+        return self.elements[i]
 
     def index_of(self, x):
         try:
@@ -114,13 +127,43 @@ class InvolutionSet:
             raise ValueError(f"{x!r} is not a vertex of this involution set")
 
 
-def enumerate_involutions(group):
-    """All w != 1 with w^2 = 1, from the involution walk (cached).
+class FiniteInvolutionSet(InvolutionSet):
+    """A finite group's involutions as arrays: `perms`, the (V, 2 |Phi+|)
+    uint8 root permutations, and `words`, their N-sets as `pack_words` packs
+    them.  The index is keyed by N-set, the `Element.key` of a finite
+    group, and an `Element` is built only when one is asked for (`element`,
+    `elements`).
 
-    Ordered by a stable sort on length, so ties keep the walk's order and
-    no word is computed.  Raises SpecError, without finishing the walk, once
-    its involutions would take more than `ADJACENCY_BUDGET` at
-    `vertex_bytes(group)` each.
+    `enumerate_involutions` orders them by length, as the walk makes them.
+    Their indices are internal: the exports renumber the vertices (see
+    `E0Graph.to_json`).
+    """
+
+    def __init__(self, group, perms):
+        self.group = group
+        self.perms = perms
+        self.words = group.n_set_words(perms)
+        keys = self.words[0].tolist()
+        for w in range(1, len(self.words)):
+            keys = [key | high << 64 * w for key, high in zip(keys, self.words[w].tolist())]
+        self.index = dict(zip(keys, range(len(perms))))
+
+    @cached_property
+    def elements(self):
+        """Every vertex as an `Element`, built on first use."""
+        raw, n = self.perms.tobytes(), self.perms.shape[1]
+        return [Element(self.group, raw[i : i + n]) for i in range(0, len(raw), n)]
+
+    def element(self, i):
+        return Element(self.group, self.perms[i].tobytes())
+
+
+def enumerate_involutions(group):
+    """All w != 1 with w^2 = 1, from the involution walk, by length (cached).
+
+    Raises SpecError, before the walk or, for a group with no exact count
+    of its involutions, without finishing it, once they would take more
+    than `ADJACENCY_BUDGET` at `vertex_bytes(group)` each.
     """
     if not isinstance(group, CoxeterGroup):
         raise SpecError(f"{group.label} is infinite; use the ball explorer")
@@ -131,14 +174,9 @@ def enumerate_involutions(group):
         raise SpecError(f"{exc}, at {per} bytes each more than "
                         f"ADJACENCY_BUDGET ({ADJACENCY_BUDGET} bytes)") from None
     cached = getattr(group, "_involutions", None)
-    if cached is not None:
-        return cached
-    P = group.pos_count
-    a = np.frombuffer(b"".join(perms), dtype=np.uint8).reshape(len(perms), 2 * P)
-    order = np.argsort(np.count_nonzero(a[:, :P] >= P, axis=1), kind="stable")
-    invset = InvolutionSet(group, [Element(group, perms[i]) for i in order.tolist()])
-    group._involutions = invset
-    return invset
+    if cached is None:
+        cached = group._involutions = FiniteInvolutionSet(group, perms)
+    return cached
 
 
 class E0Graph:
@@ -212,13 +250,10 @@ class E0Graph:
         return out
 
     def degrees(self):
-        """The valencies, popcounted from the row blocks as they come
-        (computed once)."""
+        """The valencies, popcounted one chunk of columns at a time
+        (`_degrees`; computed once)."""
         if self._degrees is None:
-            deg = np.zeros(len(self), dtype=np.int64)
-            for start, block in _row_blocks(self.words, self._reach(self.words)):
-                deg[start : start + len(block)] = np.bitwise_count(block).sum(axis=1)
-            self._degrees = deg.tolist()
+            self._degrees = _degrees(self.words, self._reach(self.words)).tolist()
         return self._degrees
 
     def edge_count(self):
@@ -239,8 +274,8 @@ class E0Graph:
 
     def neighborhood(self, x):
         """The set of vertices adjacent to x, from its `row`."""
-        elements = self.vertices.elements
-        return {elements[j] for j in np.flatnonzero(self.row(self.vertices.index_of(x)))}
+        row = self.row(self.vertices.index_of(x))
+        return {self.vertices.element(j) for j in np.flatnonzero(row)}
 
     def _export_order(self):
         """(words, labels, order): the lexmin words in export order, their
@@ -363,15 +398,15 @@ def build_graph(group):
     """Build the excess-zero graph of a finite group and its valencies
     (cached on the group).
 
-    Raises SpecError, during the involution walk and so before the vertices
-    are sorted or any row computed, when the group's involutions would take
-    more than `ADJACENCY_BUDGET` (`enumerate_involutions`).
+    Raises SpecError, before any row is computed, when the group's
+    involutions would take more than `ADJACENCY_BUDGET`
+    (`enumerate_involutions`).
     """
     cached = getattr(group, "_e0graph", None)
     if cached is not None:
         return cached
     vertices = enumerate_involutions(group)
-    g = E0Graph(group, vertices, group.n_set_words([e.perm for e in vertices]))
+    g = E0Graph(group, vertices, vertices.words)
     g.degrees()
     group._e0graph = g
     return g
@@ -384,33 +419,34 @@ def _lengths(words):
 
 
 def _lexmin_words(vertices, lengths):
-    """The lexmin word of each vertex of a finite group's `InvolutionSet`,
+    """The lexmin word of each vertex of a `FiniteInvolutionSet`,
     in its order, from one pass over the vertices by `lengths`.
 
     The lexmin word of w != 1 is s followed by that of sw, with s the least
     left descent of w (the shortlex normal form; Bjorner and Brenti, GTM 231,
     ch. 3).  A vertex is peeled only until the current element is the
-    identity or a shorter involution, found in `vertices.index`, whose word
-    the pass already holds: the vertex's word is the peeled letters followed
-    by it.  The index is hashed only for elements whose square fixes the
-    first root, as an involution's does, which most peeled elements' do not.
+    identity or a shorter involution, found by its N-set in `vertices.index`,
+    whose word the pass already holds: the vertex's word is the peeled
+    letters followed by it.  The N-set is carried along the peel: w sends
+    one positive root to -a_s, and s w sends it to a_s and every other one
+    where w does, so N(s w) is N(w) less that root.
     """
     group = vertices.group
-    identity, table, descents = group.identity_perm, group.gen_table, group._left_descents
-    index, elements = vertices.index, vertices.elements
-    words = [None] * len(elements)
+    P, table, descents = group.pos_count, group.gen_table, group._left_descents
+    index, raw, n = vertices.index, vertices.perms.tobytes(), 2 * P
+    keys = list(index)  # the N-sets in vertex order, as the index is built
+    words = [None] * len(keys)
     for i in np.argsort(lengths, kind="stable").tolist():
-        a, peeled = elements[i].perm, []
+        a, key, peeled = raw[i * n : (i + 1) * n], keys[i], []
         while True:
             s = min(descents(a)) + 1
             peeled.append(s)
+            key ^= 1 << a.index(P + s - 1)  # the root a sends to -a_s
             a = a.translate(table[s])  # left-multiply by r_s
-            if a[a[0]] != 0:  # a^2 moves the first root, so a is no involution
-                continue
-            if a == identity:
+            if not key:
                 words[i] = tuple(peeled)
                 break
-            j = index.get(a)
+            j = index.get(key)
             if j is not None:
                 words[i] = (*peeled, *words[j])
                 break
@@ -423,60 +459,92 @@ def _block_rows():
     return 8 * max(1, CHUNK_BYTES // (4 * 8 * 128))
 
 
+class _Kernel:
+    """The Four Russians method (Arlazarov, Dinic, Kronrod and Faradzev,
+    1970) for the boolean product N N^T of the V x |Phi+| N-set matrix, whose
+    complement is the adjacency matrix; `_row_blocks` reads it by rows and
+    `_degrees` by columns.
+
+    `words` is the (k, V) word-major N-set array of `pack_words`.  A root in
+    fewer than two N-sets can only meet a vertex with itself, so it is
+    dropped and the diagonal is cleared by hand.  The other roots are
+    compacted eight to a byte of each N-set (`idx`), and each is also packed
+    as the V-bit row of the vertices that hold it (`cols`).  For a group of
+    8 roots, `_subset_ors` tables the OR of the rows of every subset of them
+    (`tables`), and row i of the product is the OR over the groups of the
+    table row picked by byte g of N-set i (`ors`).  So a vertex costs one
+    gathered row per 8 roots, not one AND per vertex pair.  The unpacked
+    N-set bits, a table of at most `gc` groups, and each gather stay within
+    `CHUNK_BYTES`; at most 16 groups a table keeps the gathered rows wide,
+    and every finite group's roots (|Phi+| <= 127) fit one table.
+    """
+
+    def __init__(self, words):
+        k, V = words.shape
+        self.V, self.W = V, -(-V // 64)
+        twice = np.bitwise_or.reduce(  # the roots an N-set shares with an earlier one
+            words[:, 1:] & np.bitwise_or.accumulate(words, axis=1)[:, :-1], axis=1)
+        shared = np.flatnonzero(_bools(twice, 64 * k))
+        self.G = G = -(-len(shared) // 8)
+        self.idx = np.zeros((G, V), dtype=np.uint8)
+        cols = np.zeros((8 * G, 8 * self.W), dtype=np.uint8)
+        # vertices unpacked at a time: 64 k bools each, a quarter of
+        # CHUNK_BYTES in all, and a multiple of 8, so that each block's
+        # columns start a byte
+        step = 8 * max(1, CHUNK_BYTES // (4 * 8 * 64 * max(k, 1)))
+        for start in range(0, V, step):
+            block = np.ascontiguousarray(words[:, start : start + step].T)
+            bits = _bools(block, 64 * k)[:, shared]
+            self.idx[:, start : start + len(bits)] = np.packbits(bits, axis=1, bitorder="little").T
+            packed = np.packbits(bits, axis=0, bitorder="little").T
+            cols[: len(shared), start >> 3 : (start >> 3) + packed.shape[1]] = packed
+        self.cols = cols.view("<u8").reshape(G, 8, self.W)
+        # (group, word) cells of the tables read at once, a quarter of
+        # CHUNK_BYTES, and the groups of one table
+        self.cells = max(1, CHUNK_BYTES // (4 * 256 * 8))
+        self.gc = max(1, min(G, 16, self.cells))
+        self.offsets = 256 * np.arange(self.gc)[:, None]  # of each group's table
+        valid = np.zeros(8 * self.W, dtype=np.uint8)  # the bits of columns 0..V-1
+        valid[: -(-V // 8)] = np.packbits(np.ones(V, dtype=bool), bitorder="little")
+        self.valid = valid.view("<u8")
+
+    def gather_rows(self, words):
+        """The rows a gather of tables `words` words wide takes at once, its
+        picked table rows within a quarter of CHUNK_BYTES."""
+        return max(1, CHUNK_BYTES // (4 * 8 * self.gc * words))
+
+    def tables(self, c, ce, groups):
+        """(g, table) for the groups g .. g + gc - 1 of each g in `groups`:
+        the subset ORs of their packed rows over words c .. ce - 1."""
+        return [(g, _subset_ors(self.cols[g : g + self.gc, :, c:ce])) for g in groups]
+
+    def ors(self, tables, rows, out):
+        """out |= the product's rows `rows` (a slice or an index array) over
+        the tables' words: the OR, over the groups, of the table row that
+        each N-set's byte picks."""
+        for g, table in tables:
+            picks = self.idx[g : g + self.gc, rows] + self.offsets[: len(table) >> 8]
+            picked = np.take(table, picks, axis=0)
+            out |= np.bitwise_or.reduce(picked, axis=0)
+
+
 def _row_blocks(words, reach=None):
     """The adjacency matrix as (start, block) pairs, in order: block is the
     packed (rows, ceil(V/64)) little-endian uint64 array of rows start,
     start + 1, ..., bit j of row i set iff i != j and N-sets i and j are
-    disjoint, zero past column V.
-
-    `words` is the (k, V) word-major N-set array of `pack_words`.  The matrix
-    is the complement of the boolean product N N^T of the V x |Phi+| N-set
-    matrix, built by the Four Russians method (Arlazarov, Dinic, Kronrod and
-    Faradzev, 1970).  A root in fewer than two N-sets can only meet a vertex
-    with itself, so it is dropped and the diagonal is cleared by hand.  The
-    other roots are compacted eight to a byte of each N-set (`idx`), and
-    each is also packed as the V-bit row of the vertices that hold it
-    (`cols`).  For a group of 8 roots, `_subset_ors` tables the OR of the
-    rows of every subset of them, and a row i of the product is the OR over
-    the groups of the table row picked by byte g of N-set i.  So a vertex
-    costs one gathered row per 8 roots, not one AND per vertex pair.  The
-    unpacked N-set bits, the tables and each gather stay within
-    `CHUNK_BYTES`; a block holds `_block_rows()` rows, in one buffer that
-    the next block overwrites.
+    disjoint, zero past column V; `_Kernel` makes it from the N-set `words`.
+    A block holds `_block_rows()` rows, in one buffer that the next block
+    overwrites, and reads each table, of `gc` groups and `cells // gc`
+    words, as it is built.
 
     `reach[i]`, when given, is a column past which row i has no bit: a
     block reads only the columns before the largest reach of its rows, and
     leaves the words past them zero.
     """
-    k, V = words.shape
-    W = -(-V // 64)
-    twice = np.bitwise_or.reduce(  # the roots an N-set shares with an earlier one
-        words[:, 1:] & np.bitwise_or.accumulate(words, axis=1)[:, :-1], axis=1)
-    shared = np.flatnonzero(_bools(twice, 64 * k))
-    G = -(-len(shared) // 8)
-    idx = np.zeros((G, V), dtype=np.uint8)
-    cols = np.zeros((8 * G, 8 * W), dtype=np.uint8)
-    # vertices unpacked at a time: 64 k bools each, a quarter of CHUNK_BYTES
-    # in all, and a multiple of 8, so that each block's columns start a byte
-    step = 8 * max(1, CHUNK_BYTES // (4 * 8 * 64 * max(k, 1)))
-    for start in range(0, V, step):
-        block = np.ascontiguousarray(words[:, start : start + step].T)
-        bits = _bools(block, 64 * k)[:, shared]
-        idx[:, start : start + len(bits)] = np.packbits(bits, axis=1, bitorder="little").T
-        packed = np.packbits(bits, axis=0, bitorder="little").T
-        cols[: len(shared), start >> 3 : (start >> 3) + packed.shape[1]] = packed
-    cols = cols.view("<u8").reshape(G, 8, W)
-    # The tables of gc groups, Wc words a row, and rb vertices' gathered rows,
-    # each within a quarter of CHUNK_BYTES.  At most 16 groups a table block
-    # keeps the gathered rows wide; every finite group's roots (|Phi+| <= 127)
-    # fit one block.
-    units = max(1, CHUNK_BYTES // (4 * 256 * 8))  # (group, word) cells of table
-    gc = max(1, min(G, 16, units))
-    Wc = units // gc
-    rb = max(1, CHUNK_BYTES // (4 * 8 * gc * Wc))
-    valid = np.zeros(8 * W, dtype=np.uint8)  # the bits of columns 0..V-1
-    valid[: -(-V // 8)] = np.packbits(np.ones(V, dtype=bool), bitorder="little")
-    valid = valid.view("<u8")
+    kernel = _Kernel(words)
+    V, W = kernel.V, kernel.W
+    Wc = kernel.cells // kernel.gc
+    rb = kernel.gather_rows(Wc)
     R = _block_rows()
     buf = np.empty((min(R, V), W), dtype="<u8")
     for first in range(0, V, R):
@@ -484,18 +552,49 @@ def _row_blocks(words, reach=None):
         Wr = W if reach is None else -(-int(reach[first:last].max()) // 64)
         block = buf[: last - first]
         block[:] = 0
-        for g in range(0, G, gc):
-            offsets = 256 * np.arange(len(cols[g : g + gc]))[:, None]
+        for g in range(0, kernel.G, kernel.gc):
             for c in range(0, Wr, Wc):
                 ce = min(c + Wc, Wr)
-                table = _subset_ors(cols[g : g + gc, :, c:ce])
+                tables = kernel.tables(c, ce, [g])
                 for r in range(first, last, rb):
-                    picked = np.take(table, idx[g : g + gc, r : min(r + rb, last)] + offsets, axis=0)
-                    block[r - first : r - first + rb, c:ce] |= np.bitwise_or.reduce(picked, axis=0)
-        block[:, :Wr] ^= valid[:Wr]  # the complement, zero past column V
+                    rows = slice(r, min(r + rb, last))
+                    kernel.ors(tables, rows, block[r - first : r - first + rb, c:ce])
+        block[:, :Wr] ^= kernel.valid[:Wr]  # the complement, zero past column V
         i = np.arange(first, last)
         block[i - first, i >> 6] &= ~(np.uint64(1) << (i & 63).astype(np.uint64))
         yield first, block
+
+
+def _degrees(words, reach=None):
+    """The valencies of the graph on the N-set `words`, as an int64 array,
+    summed one chunk of columns at a time: a chunk's tables, every group's
+    within `cells`, are built once for all rows, and the rows' product bits
+    are gathered and popcounted a few hundred rows at a time, so no block of
+    whole rows is held.  A row's valency is the columns below V, less the
+    product's set bits, less its own column when its N-set holds no shared
+    root (the product's diagonal is then 0).  A chunk reads only the rows
+    whose `reach` (see `_row_blocks`) passes its first column; the others
+    have no bit there, and the diagonal is counted only where it is read."""
+    kernel = _Kernel(words)
+    V = kernel.V
+    Wd = max(1, kernel.cells // max(kernel.G, 1))
+    rb = kernel.gather_rows(Wd)
+    columns = np.bitwise_count(kernel.valid).astype(np.int64)
+    deg = np.zeros(V, dtype=np.int64)
+    for c in range(0, kernel.W, Wd):
+        ce = min(c + Wd, kernel.W)
+        rows = np.arange(V) if reach is None else np.flatnonzero(reach > 64 * c)
+        deg[rows] += columns[c:ce].sum()
+        tables = kernel.tables(c, ce, range(0, kernel.G, kernel.gc))
+        for r in range(0, len(rows), rb):
+            some = rows[r : r + rb]
+            block = np.zeros((len(some), ce - c), dtype="<u8")
+            kernel.ors(tables, some, block)
+            deg[some] -= np.bitwise_count(block).sum(axis=1, dtype=np.int64)
+    diagonal = ~kernel.idx.any(axis=0)
+    if reach is not None:  # the first column of the chunk holding column i
+        diagonal &= reach > 64 * Wd * (np.arange(V) // (64 * Wd))
+    return deg - diagonal
 
 
 def _pairwise_disjoint_rows(words, reach=None):
@@ -564,8 +663,9 @@ def components_and_diameter(g):
     elements of W_{S - r} and W_{S - s} (their N-sets share the roots of
     W_{S - {r, s}}), checked on their words, and at rank 2 some pair with
     descent sets {1} and {2}.  Otherwise it is 2.  Vertex indices are the
-    internal ones of `InvolutionSet`, not export ids.  Raises for rank-1
-    groups, whose "hat" component is empty and has no diameter.
+    internal ones of `FiniteInvolutionSet`, not export ids, and a component
+    is the frozenset of its vertices' indices.  Raises for rank-1 groups,
+    whose "hat" component is empty and has no diameter.
     """
     group = g.group
     if group.rank < 2:
@@ -574,14 +674,13 @@ def components_and_diameter(g):
     words, S = g.words, np.array(g.simple_roots, dtype=np.uint64)
     w0 = g.w0_index
     covered = np.count_nonzero(((words & S[:, None]) == S[:, None]).all(axis=0))  # D = S
-    gens = [g.vertices.index_of(group.generator(i)) for i in group.generators]
+    gens = [g.vertices.index[1 << (i - 1)] for i in group.generators]  # keyed by N(s)
     alone = pack_words(np.eye(group.rank, 64 * len(words), dtype=bool))  # N(s) = {a_s}
     degrees = g.degrees()
     if degrees[w0] or covered != 1 or not (words[:, gens] == alone).all():
         raise ValueError(f"expected one component away from w0, found {covered - 1} "
                          "other vertices with every simple root in their N-set")
-    elements = g.vertices.elements
-    components = [frozenset(elements[:w0] + elements[w0 + 1 :]), frozenset([elements[w0]])]
+    components = [frozenset(chain(range(w0), range(w0 + 1, len(g)))), frozenset([w0])]
     if all(d == len(g) - 2 for i, d in enumerate(degrees) if i != w0):
         return components, 1
     if group.rank >= 3:
@@ -649,8 +748,8 @@ def excess(group, w):
 
 
 def pendant_elements(g):
-    """Vertices of valency exactly 1."""
-    return {e for e, d in zip(g.vertices, g.degrees()) if d == 1}
+    """Vertices of valency exactly 1, the only ones built as elements."""
+    return {g.vertices.element(i) for i, d in enumerate(g.degrees()) if d == 1}
 
 
 _E6_PENDANT_WORDS = (
@@ -682,16 +781,18 @@ def predicted_pendants(group):
     if n < 2:
         raise SpecError("pendant prediction needs rank >= 2")
     w0 = group.longest_element()
-    gens = [group.generator(i) for i in group.generators]
 
     def from_words(words):
         return {w0 * group.element_from_word(w) for w in words}
 
+    def w0_times_generators():  # one element each
+        return {Element(group, group._mul(w0.perm, group.gen_perm[i])) for i in group.generators}
+
     if family in _CENTRAL_W0 or (family == "D" and p % 2 == 0):
-        return {w0 * r for r in gens}
+        return w0_times_generators()
     if family == "I2":
         if p % 2 == 0:
-            return {w0 * r for r in gens}
+            return w0_times_generators()
         return from_words([(1, 2), (2, 1)])
     if family == "A":
         return from_words(sequential_shapes(n))
@@ -702,7 +803,7 @@ def predicted_pendants(group):
         return from_words(words)
     if family == "E":
         if p != 6:
-            return {w0 * r for r in gens}  # E7/E8 have central w0
+            return w0_times_generators()  # E7/E8 have central w0
         return from_words(_E6_PENDANT_WORDS)
     raise SpecError(f"no pendant prediction for type {spec.label}")
 

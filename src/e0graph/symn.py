@@ -19,20 +19,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .coxeter import CoxeterGroup
+from .coxeter import CoxeterGroup, telephone
 from .graph import build_graph
 
 BRUTE_FORCE_MAX_N = 9  # Sym(9) = W(A8) is the largest group we enumerate here
-
-
-@lru_cache(maxsize=None)
-def telephone(n):
-    """T(n): involutions of Sym(n) including the identity."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n <= 1:
-        return 1
-    return telephone(n - 1) + (n - 1) * telephone(n - 2)
 
 
 def involution_count(n):

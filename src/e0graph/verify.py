@@ -149,7 +149,7 @@ def _thm_diam(rep, label):
     group = group_for(label)
     g = graph_for(label)
     comps, hat_diam = gr.components_and_diameter(g)
-    w0 = group.longest_element()
+    w0 = g.vertices.index_of(group.longest_element())
     rep.expect(f"{label}: number of connected components", 2, len(comps))
     singles = [c for c in comps if len(c) == 1]
     rep.require(

@@ -135,26 +135,31 @@ def test_w0_length_guard(monkeypatch):
         CoxeterGroup.from_spec("A2")
 
 
-def test_involution_walk_stops_at_limit():
-    class Counting(dict):
-        lookups = 0
+def test_involution_walk_stops_at_limit(monkeypatch):
+    # a group with an exact count is refused before the walk, one given by
+    # its Coxeter matrix alone as soon as the walk finds too many
+    layers = []
+    real = coxeter.pack_words
 
-        def __getitem__(self, key):
-            Counting.lookups += 1
-            return super().__getitem__(key)
+    def counted(member):  # the walk packs each layer's finds once
+        layers.append(len(member))
+        return real(member)
 
+    monkeypatch.setattr(coxeter, "pack_words", counted)
     g = CoxeterGroup.from_spec("A5")
-    g.gen_table = Counting(g.gen_table)
-    assert len(g.involution_perms()) == 75
-    full = Counting.lookups
-    g = CoxeterGroup.from_spec("A5")
-    g.gen_table = Counting(g.gen_table)
-    Counting.lookups = 0
     with pytest.raises(SpecError, match="A5 has more than 10 involutions"):
         g.involution_perms(limit=10)
-    # at most the identity and 10 involutions were stepped from, 5 steps each
-    assert Counting.lookups <= 11 * 5 < full
+    assert layers == [] and g._involution_perms is None
     assert len(g.involution_perms(limit=75)) == 75
+    assert len(layers) == 15  # |Phi+| lengths; A5's w0 is not central
+    layers.clear()
+    bare = CoxeterGroup(CoxeterGroup.from_spec("A5").matrix)
+    assert bare.spec is None
+    with pytest.raises(SpecError, match=r"custom\(rank=5\) has more than 10 involutions"):
+        bare.involution_perms(limit=10)
+    # 5 involutions of length 1, then 6 more of length 2
+    assert len(layers) == 2 and bare._involution_perms is None
+    assert len(bare.involution_perms(limit=75)) == 75
 
 
 def test_infinite_closure_needs_depth():

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
@@ -14,17 +15,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from e0graph import cli
+from e0graph import cli, coxeter
 from e0graph import graph as gr
 from e0graph.coxeter import (
     CoxeterGroup,
     CoxeterMatrix,
     Element,
     SpecError,
+    ToleranceError,
     _iter_bits,
     format_word,
     generate_root_system,
     pack_words,
+    parse_group_spec,
 )
 from e0graph.infinite import InfiniteCoxeterGroup, enumerate_ball, involution_graph
 from e0graph.tables import dihedral_distribution
@@ -33,6 +36,7 @@ from e0graph.graph import (
     build_graph,
     components_and_diameter,
     E0Graph,
+    FiniteInvolutionSet,
     InvolutionSet,
     delta1_of_w0x,
     enumerate_involutions,
@@ -63,6 +67,11 @@ def graph(label):
 @pytest.mark.parametrize("label,count", [("A3", 9), ("A6", 231), ("I2(4)", 5)])
 def test_involution_counts(label, count):
     assert len(enumerate_involutions(group(label))) == count
+
+
+def _perm_array(elems):
+    """The (V, 2 |Phi+|) uint8 perm array of finite elements, in their order."""
+    return np.array([np.frombuffer(e.perm, dtype=np.uint8) for e in elems])
 
 
 def _export_elements(g):
@@ -109,6 +118,102 @@ def test_walk_e7():
     assert lengths == sorted(lengths)
     keys = [e.sort_key() for e in _export_elements(build_graph(grp))]
     assert keys == sorted(keys)
+
+
+def _reference_walk(grp):
+    """The non-identity involutions, as perm bytes, by the twisted step with
+    one seen set over the whole walk, frontier after frontier, and no
+    mirror: the walk before it went one length at a time."""
+    P = grp.pos_count
+    seen, frontier = {grp.identity_perm}, [grp.identity_perm]
+    while frontier:
+        found = []
+        for x in frontier:
+            for i in grp.generators:
+                image = x[i - 1]
+                if image >= P:
+                    continue
+                y = x.translate(grp.gen_table[i])  # sx
+                if image != i - 1:
+                    y = grp.gen_perm[i].translate(y + grp._pad)  # sxs
+                if y not in seen:
+                    seen.add(y)
+                    found.append(y)
+        frontier = found
+    return seen - {grp.identity_perm}
+
+
+def _has_central_w0(label):
+    """Whether w0 = -1, read off the type: A1, B, D even, E7, E8, F4, H and
+    I2 even, and their products."""
+    return all(f in "BFH" or f in ("D", "I2") and p % 2 == 0
+               or (f, p) in (("A", 1), ("E", 7), ("E", 8))
+               for f, p in parse_group_spec(label).factors)
+
+
+def _walked_layers(monkeypatch):
+    """The number of finds of each layer the involution walks pack."""
+    layers, real = [], coxeter.pack_words
+
+    def counted(member):
+        layers.append(len(member))
+        return real(member)
+
+    monkeypatch.setattr(coxeter, "pack_words", counted)
+    return layers
+
+
+def _walk_matches_the_reference(grp):
+    got = [row.tobytes() for row in grp.involution_perms()]
+    want = _reference_walk(grp)
+    assert len(got) == len(set(got)) == len(want) and set(got) == want
+    lengths = [grp._length(p) for p in got]
+    assert lengths == sorted(lengths)  # by length
+    assert Counter(lengths) == Counter(map(grp._length, want))
+
+
+MIRRORED = [label for label in SUITE if _has_central_w0(label)] + ["E7", "B2xB2xB2xB2xB2"]
+
+
+@pytest.mark.parametrize("label", MIRRORED)
+def test_mirrored_walk_matches_the_full_walk(label, monkeypatch):
+    layers = _walked_layers(monkeypatch)
+    grp = CoxeterGroup.from_spec(label)
+    _walk_matches_the_reference(grp)
+    assert len(layers) == grp.pos_count // 2  # walked half way, mirrored the rest
+
+
+def test_mirrored_walks_cover_both_parities():
+    assert {CoxeterGroup.from_spec(label).pos_count % 2 for label in MIRRORED} == {0, 1}
+    assert {"B3", "H3", "B4", "F4", "D6", "I2(12)"} <= set(MIRRORED)
+
+
+@pytest.mark.parametrize("label", ["A1xA2", "A5", "D5", "D7", "E6", "I2(7)", "I2(65)", "B2xA2"])
+def test_walk_takes_no_mirror_without_a_central_w0(label, monkeypatch):
+    assert not _has_central_w0(label)
+    layers = _walked_layers(monkeypatch)
+    grp = CoxeterGroup.from_spec(label)
+    _walk_matches_the_reference(grp)
+    assert len(layers) == grp.pos_count  # every length walked
+
+
+@pytest.mark.parametrize("label", [
+    *(f"A{n}" for n in range(1, 8)), *(f"B{n}" for n in range(2, 7)),
+    *(f"D{n}" for n in range(4, 8)), "E6", "F4", "H3", "H4",
+    *(f"I2({m})" for m in (3, 4, 5, 6, 63, 64)), "A1xA1", "A2xB3", "B2xB2xB2xB2xB2", "A1xD5xI2(5)",
+])
+def test_involution_counts_match_the_reference_walk(label):
+    grp = CoxeterGroup.from_spec(label)
+    assert grp.spec.involution_count() == len(_reference_walk(grp))
+
+
+@pytest.mark.parametrize("error,match", [(1, r"found 75 involutions of A5, not 76"),
+                                         (-1, r"found more than 74 involutions of A5")])
+def test_walk_checks_its_count(error, match, monkeypatch):
+    real = coxeter.GroupSpec.involution_count
+    monkeypatch.setattr(coxeter.GroupSpec, "involution_count", lambda self: real(self) + error)
+    with pytest.raises(ToleranceError, match=match):
+        CoxeterGroup.from_spec("A5").involution_perms()
 
 
 def test_walk_order_ignores_the_hash_seed():
@@ -169,8 +274,8 @@ def test_word_pass_matches_element_words(label, shuffled):
         elems = list(vertices)
         random.Random(label).shuffle(elems)
         assert elems != vertices.elements
-        vertices = InvolutionSet(group(label), elems)
-    lengths = gr._lengths(vertices.group.n_set_words([e.perm for e in vertices]))
+        vertices = FiniteInvolutionSet(group(label), _perm_array(elems))
+    lengths = gr._lengths(vertices.words)
     assert gr._lexmin_words(vertices, lengths) == [e.word for e in vertices]
 
 
@@ -196,34 +301,55 @@ def test_exports_ignore_the_vertex_order(label):
     elems = list(g.vertices)
     random.Random(label).shuffle(elems)
     assert elems != g.vertices.elements
-    shuffled = E0Graph(grp, InvolutionSet(grp, elems), grp.n_set_words([e.perm for e in elems]))
+    vertices = FiniteInvolutionSet(grp, _perm_array(elems))
+    shuffled = E0Graph(grp, vertices, vertices.words)
     assert shuffled.to_json() == g.to_json()
     assert shuffled.to_json(indent=2) == g.to_json(indent=2)
     assert shuffled.to_dot() == g.to_dot()
 
 
-def test_budget_refuses_during_the_walk(monkeypatch):
-    cached = CoxeterGroup.from_spec("A5")
+def _counted_walks(monkeypatch):
+    """The groups whose involution walk starts, in order."""
+    walks, walk = [], CoxeterGroup._walk_involutions
+
+    def counted(self, cap, count):
+        walks.append(self)
+        return walk(self, cap, count)
+
+    monkeypatch.setattr(CoxeterGroup, "_walk_involutions", counted)
+    return walks
+
+
+def test_budget_refuses_during_the_walk(monkeypatch, tmp_path):
+    # a group read from a JSON Coxeter matrix has no exact count of its
+    # involutions, so its walk is held to the budget as it goes
+    path = tmp_path / "a5.json"
+    path.write_text(json.dumps({"rank": 5, "m": group("A5").matrix.entries}))
+    cached = CoxeterGroup(CoxeterMatrix.from_json_file(path))
+    assert cached.spec is None
     assert len(enumerate_involutions(cached)) == 75  # walked under the real budget
     per = gr.vertex_bytes(cached)
     monkeypatch.setattr(gr, "ADJACENCY_BUDGET", 7 * per - 1)  # 6 vertices; A5 has 75
-    grp = CoxeterGroup.from_spec("A5")
-    with pytest.raises(SpecError, match=rf"A5 has more than 6 involutions, at {per} bytes "
-                                        r"each more than ADJACENCY_BUDGET \("):
+    walks = _counted_walks(monkeypatch)
+    grp = CoxeterGroup(CoxeterMatrix.from_json_file(path))
+    with pytest.raises(SpecError, match=rf"custom\(rank=5\) has more than 6 involutions, at "
+                                        rf"{per} bytes each more than ADJACENCY_BUDGET \("):
         build_graph(grp)
-    assert grp._involution_perms is None  # the walk was cut short
+    assert walks == [grp] and grp._involution_perms is None  # the walk was cut short
     with pytest.raises(SpecError, match="more than 6"):
         build_graph(cached)  # the cached walk is held to the budget too
 
 
-def test_a15_is_refused_during_the_walk():
-    grp = CoxeterGroup.from_spec("A15")  # 46,206,735 involutions
+def test_a15_is_refused_before_the_walk(monkeypatch):
+    walks = _counted_walks(monkeypatch)
+    grp = CoxeterGroup.from_spec("A15")
+    assert grp.spec.involution_count() == 46206735
     limit = gr.ADJACENCY_BUDGET // gr.vertex_bytes(grp)
     assert limit > 199951  # E8's involutions, which build
     with pytest.raises(SpecError, match=rf"A15 has more than {limit} involutions, .* "
                                         r"more than ADJACENCY_BUDGET \("):
         build_graph(grp)
-    assert grp._involution_perms is None
+    assert walks == [] and grp._involution_perms is None
 
 
 # N-sets of 63 and 64 bits fill one uint64 word, 65 and 127 bits two
@@ -324,6 +450,7 @@ def test_kernel_matches_int_oracle(monkeypatch, chunk, case):
     want = [sum(1 << j for j, b in enumerate(nbits) if a & b == 0 and j != i)
             for i, a in enumerate(nbits)]
     assert [int.from_bytes(row.tobytes(), "little") for row in rows] == want
+    assert gr._degrees(words).tolist() == [bin(row).count("1") for row in want]
 
 
 def _reference_rows(words):
@@ -342,8 +469,15 @@ def _reference_rows(words):
 
 
 def _fresh_graph(case):
-    """An unbuilt graph: a finite group's, cut by length, or a ball's
-    ("<group> r<radius>"), uncut."""
+    """An unbuilt graph: a finite group's, cut by length, in the walk's
+    vertex order or, for "<group> shuffled", in a seeded shuffle of it, or
+    a ball's ("<group> r<radius>"), uncut."""
+    if case.endswith(" shuffled"):
+        grp = group(case.split()[0])
+        order = list(range(len(enumerate_involutions(grp))))
+        random.Random(case).shuffle(order)
+        vertices = FiniteInvolutionSet(grp, enumerate_involutions(grp).perms[order])
+        return E0Graph(grp, vertices, vertices.words)
     if " r" not in case:
         grp = group(case)
         invs = enumerate_involutions(grp)
@@ -357,9 +491,11 @@ def _fresh_graph(case):
 
 
 def _blocks_match_reference(g):
+    # the row blocks against the float product, and the column pass's
+    # valencies against the blocks' popcounts
     want = _reference_rows(g.words)
-    assert g.degrees() == np.bitwise_count(want).sum(axis=1).tolist()
     assert np.array_equal(g.rows, want)
+    assert g.degrees() == np.bitwise_count(g.rows).sum(axis=1).tolist()
 
 
 # the graphs the balls benchmark builds: its evidence radii plus extra, and
@@ -368,9 +504,11 @@ BENCH_BALLS = ["U3 r12", "U4 r8", "337 r18", "A2~ r30", "U3 r6"]
 
 
 @pytest.mark.parametrize("chunk", [gr.CHUNK_BYTES, 8])
-@pytest.mark.parametrize("case", [*SUITE, *BENCH_BALLS])
+@pytest.mark.parametrize("case", [*SUITE, *BENCH_BALLS, "D5 shuffled", "I2(65) shuffled",
+                                  "B2xA1xA2 shuffled", "A6 shuffled"])
 def test_row_blocks_match_a_product(monkeypatch, chunk, case):
-    # at 8 bytes every block holds 8 rows and every table one group and word
+    # at 8 bytes every block holds 8 rows, every table one group and word,
+    # and every gather of the column pass one row
     monkeypatch.setattr(gr, "CHUNK_BYTES", chunk)
     _blocks_match_reference(_fresh_graph(case))
 
@@ -381,23 +519,35 @@ def test_large_row_blocks_match_a_product(label):
 
 
 def test_length_cut_skips_columns(monkeypatch):
-    # a length-1 row can meet all but w0 (length 63 = |Phi+|), and w0 none;
-    # the blocks table under two thirds of the (group, word) cells
+    # a length-1 row can meet all but w0 (length 63 = |Phi+|), and w0 none.
+    # The column pass tables each (group, word) cell once and gathers under
+    # two thirds of the (row, word) cells; the row blocks table under two
+    # thirds of their (group, word) cells
     g = _fresh_graph("E7")
-    tabled = []
-    real = gr._subset_ors
-
-    def counted(cols):
-        tabled.append(cols.shape[0] * cols.shape[2])
-        return real(cols)
-
-    monkeypatch.setattr(gr, "_subset_ors", counted)
-    assert g.edge_count() == 360564
-    W, R = -(-len(g) // 64), gr._block_rows()
-    full = -(-len(g) // R) * -(-len(g.words) * 64 // 8) * W  # (group, word) cells uncut
-    assert 0 < sum(tabled) < full * 2 / 3
     reach = g._reach(g.words)
     assert reach[0] == len(g) - 1 and reach[-1] == 0
+    tabled, gathered = [], []
+    subset_ors, ors = gr._subset_ors, gr._Kernel.ors
+
+    def counted_tables(cols):
+        tabled.append(cols.shape[0] * cols.shape[2])
+        return subset_ors(cols)
+
+    def counted_gathers(self, tables, rows, out):
+        gathered.append(out.size)
+        return ors(self, tables, rows, out)
+
+    monkeypatch.setattr(gr, "_subset_ors", counted_tables)
+    monkeypatch.setattr(gr._Kernel, "ors", counted_gathers)
+    assert g.edge_count() == 360564
+    W, G = -(-len(g) // 64), gr._Kernel(g.words).G
+    assert sum(tabled) == G * W
+    assert 0 < sum(gathered) < len(g) * W * 2 / 3
+    tabled.clear()
+    for _ in gr._row_blocks(g.words, reach):
+        pass
+    full = -(-len(g) // gr._block_rows()) * G * W  # (group, word) cells uncut
+    assert 0 < sum(tabled) < full * 2 / 3
 
 
 def test_e7_peak_is_below_its_matrix_and_within_its_count(monkeypatch):
@@ -417,6 +567,26 @@ def test_e7_peak_is_below_its_matrix_and_within_its_count(monkeypatch):
     monkeypatch.setattr(gr, "ADJACENCY_BUDGET", peak - 1)
     with pytest.raises(SpecError, match="E7 has more than"):
         build_graph(CoxeterGroup.from_spec("E7"))
+
+
+def test_e7_builds_few_elements(monkeypatch):
+    # the vertex set is arrays: the build, the valencies, the components and
+    # diameter, and the pendants build an element only for each pendant and
+    # each predicted one, and the two witnesses at distance 3
+    grp = CoxeterGroup.from_spec("E7")  # fresh: nothing cached
+    built, real = [], Element.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        real(self, *args)
+
+    monkeypatch.setattr(Element, "__init__", counted)
+    g = build_graph(grp)
+    assert valency_distribution(g).total == 10207 and not built
+    assert components_and_diameter(g)[1] == 3
+    report = pendant_report(grp)
+    assert report.match and len(report.computed) == grp.rank
+    assert len(built) <= grp.rank + len(report.computed) + 4
 
 
 def test_rows_are_budgeted(monkeypatch, capsys):
@@ -579,15 +749,16 @@ def _bfs(adj, i):
 
 
 def _components_and_diameter_oracle(g):
-    """Components by lowest vertex index; hat diameter as the largest BFS
-    distance between two vertices of the component without w0."""
+    """Components, as frozensets of vertex indices, by lowest vertex index;
+    hat diameter as the largest BFS distance between two vertices of the
+    component without w0."""
     w0 = g.vertices.index_of(g.group.longest_element())
     adj = list(g.adj)
     comps, seen, hat_diameter = [], 0, 0
     for i in range(len(g)):
         reach, layers = _bfs(adj, i)
         if not (seen >> i) & 1:
-            comps.append(frozenset(g.vertices.elements[j] for j in _iter_bits(reach)))
+            comps.append(frozenset(_iter_bits(reach)))
             seen |= reach
         if not (reach >> w0) & 1:
             hat_diameter = max(hat_diameter, len(layers) - 1)
