@@ -240,7 +240,9 @@ class GroupSpec:
         return math.prod(_INVOLUTIONS[f](p) for f, p in self.factors) - 1
 
     def coxeter_matrix(self):
-        return build_coxeter_matrix(self)
+        """Coxeter matrix of the spec; products become block-diagonal."""
+        return CoxeterMatrix.block_diagonal(
+            [CoxeterMatrix(_factor_matrix(f, p)) for f, p in self.factors])
 
     def __str__(self):
         return self.label
@@ -321,14 +323,6 @@ def _factor_matrix(family, p):
         out[1][3] = out[3][1] = 3
         return out
     raise SpecError(f"unknown family {family!r}")
-
-
-def build_coxeter_matrix(spec):
-    """Coxeter matrix for a parsed spec; products become block-diagonal."""
-    blocks = [CoxeterMatrix(_factor_matrix(f, p)) for f, p in spec.factors]
-    if len(blocks) == 1:
-        return blocks[0]
-    return CoxeterMatrix.block_diagonal(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -412,15 +406,6 @@ class RootSystem:
         self._index = dict(zip(keys, range(self.pos_count)))
         if len(self._index) != self.pos_count:
             raise ToleranceError("root key collision while indexing the root system")
-
-    @cached_property
-    def supports(self):
-        """Bit mask of the simple roots in each positive root's support."""
-        eps = 10 ** -(ROOT_KEY_DECIMALS + 1)
-        return tuple(
-            sum(1 << j for j, c in enumerate(v) if abs(c) > eps)
-            for v in self.pos_roots
-        )
 
     def __len__(self):
         return 2 * self.pos_count
@@ -587,10 +572,6 @@ class GeometricGroup:
             if not 1 <= s <= self.rank:
                 raise ValueError(f"generator index {s} out of range 1..{self.rank}")
 
-    def is_reduced(self, word):
-        """True iff the word's length equals the length of its element."""
-        return len(self.reduce_word(word)) == len(word)
-
 
 # ---------------------------------------------------------------------------
 # Finite Coxeter groups: elements as root permutations
@@ -625,8 +606,8 @@ class Element:
 
     def n_set(self):
         """Positive-root indices sent negative by this element."""
-        bits = self.group._n_bits(self.perm)
-        return frozenset(_iter_bits(bits))
+        P = self.group.pos_count
+        return frozenset(p for p, q in enumerate(self.perm[:P]) if q >= P)
 
     def is_involution(self):
         p = self.perm
@@ -639,9 +620,6 @@ class Element:
     def word(self):
         """Lexicographically least reduced word."""
         return self.group._lexmin_word(self.perm)
-
-    def descent_sets(self):
-        return self.group.descent_sets(self)
 
     def sort_key(self):
         return (self.length, self.word)
@@ -668,13 +646,6 @@ def pack_words(member):
     packed = np.zeros((V, 8 * -(-P // 64)), dtype=np.uint8)
     packed[:, : -(-P // 8)] = np.packbits(member, axis=1, bitorder="little")
     return np.ascontiguousarray(packed.view("<u8").T)
-
-
-def _iter_bits(bits):
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
 
 
 @dataclass(frozen=True)
@@ -822,24 +793,34 @@ class CoxeterGroup(GeometricGroup):
         return len(self.enumerate_perms())
 
     def enumerate_perms(self):
-        """All elements of the group, as raw permutations (cached)."""
+        """All elements of the group, X_J for the empty J, as raw permutations (cached)."""
         if self._elements is None:
-            P = self.pos_count
-            seen = {self.identity_perm}
-            frontier = [self.identity_perm]
-            while frontier:
-                nxt = []
-                for w in frontier:
-                    wt = w + self._pad
-                    for i in self.generators:
-                        if w[i - 1] < P:  # length-increasing extension only
-                            u = self.gen_perm[i].translate(wt)
-                            if u not in seen:
-                                seen.add(u)
-                                nxt.append(u)
-                frontier = nxt
-            self._elements = seen
+            self._elements = self._weak_order_walk(frozenset())
         return self._elements
+
+    def _weak_order_walk(self, J):
+        """X_J = {w : l(sw) > l(w) for all s in J}, as a set of raw
+        permutations, by the right weak order from the identity: w steps to
+        ws for each ascent s but those with w . a_s a simple root of J, which
+        by Deodhar's lemma (Bjorner and Brenti, GTM 231, 2.5) are the ones
+        that leave X_J (ws = tw, t in J).  X_J holds the prefixes of its
+        members' reduced words, so every member is reached."""
+        P = self.pos_count
+        step = [p < P and p + 1 not in J for p in range(256)]  # by the image w . a_s
+        seen = {self.identity_perm}
+        frontier = [self.identity_perm]
+        while frontier:
+            nxt = []
+            for w in frontier:
+                wt = w + self._pad
+                for i in self.generators:
+                    if step[w[i - 1]]:
+                        u = self.gen_perm[i].translate(wt)
+                        if u not in seen:
+                            seen.add(u)
+                            nxt.append(u)
+            frontier = nxt
+        return seen
 
     def elements(self):
         return [Element(self, p) for p in self.enumerate_perms()]
@@ -873,10 +854,11 @@ class CoxeterGroup(GeometricGroup):
         x commute, and sxs, two longer, otherwise.  Every involution is
         reached, and nothing else is visited.  An ascent s commutes with x
         exactly when x fixes alpha_s.  So layer L comes from layers L - 1 and
-        L - 2 alone, and an involution found twice is dropped by its N-set,
-        which determines it.  A layer keeps its first finds in the order they
-        are made (by generator, sx before sxs, then by row), the same in
-        every run.
+        L - 2 alone (`_next_involutions`).  Every generator that finds an
+        involution y is a descent of y, and y has one parent per descent, so
+        y is kept only when found from its least descent: once, with no find
+        compared with another.  A layer's rows come by generator, sx before
+        sxs, then by row, the same in every run.
 
         When w0 is central, sending every simple root to its negative (so
         w0 = -1), N(w0 x) = Phi+ - N(x) and x -> w0 x maps the involutions of
@@ -890,7 +872,6 @@ class CoxeterGroup(GeometricGroup):
         ToleranceError; with none, the layers are joined at the end.
         """
         P, rank = self.pos_count, self.rank
-        gens = np.frombuffer(b"".join(self.gen_perm.values()), np.uint8).reshape(rank, 2 * P)
         w0 = np.frombuffer(self.longest_element().perm, np.uint8)
         central = bool((w0[:rank] == np.arange(P, P + rank)).all())
         top = P // 2 if central else P
@@ -910,21 +891,8 @@ class CoxeterGroup(GeometricGroup):
 
         layers = [np.frombuffer(self.identity_perm, np.uint8)[None]]
         found = 0  # mirrors included
-        for L in range(1, top + 1):
-            steps = []
-            for i, s in enumerate(gens):
-                x = layers[L - 1]
-                steps.append(s.take(x[x[:, i] == i]))  # sx, s an ascent fixed by x
-                if L > 1:
-                    x, image = layers[L - 2], layers[L - 2][:, i]
-                    steps.append(s.take(x[(image < P) & (image != i)][:, s]))  # sxs
-            layer = np.concatenate(steps)
-            words = pack_words(layer[:, :P] >= P)
-            order = np.lexsort(words)  # stable: each N-set's first find leads
-            runs = words[:, order]
-            first = np.ones(len(order), dtype=bool)
-            first[1:] = (runs[:, 1:] != runs[:, :-1]).any(axis=0)
-            layers.append(keep(layer[np.sort(order[first])]))
+        for L in range(1, top + 1):  # layers[-1] is the identity's at L = 1: no sxs
+            layers.append(keep(self._next_involutions(layers[L - 1], layers[L - 2])))
             found += len(layers[L]) * (2 if central and 2 * L < P else 1)
             if found > cap:
                 raise SpecError(f"{self.label} has more than {cap} involutions")
@@ -937,6 +905,21 @@ class CoxeterGroup(GeometricGroup):
                                  f"of {self.label}, not {count}")
         return out
 
+    def _next_involutions(self, shorter, shortest):
+        """One layer of `_walk_involutions`: the involutions sx stepped from
+        the rows x of `shorter` and sxs from those of `shortest`, one shorter
+        still, each kept only from its least descent s."""
+        P, rank = self.pos_count, self.rank
+        gens = np.frombuffer(b"".join(self.gen_perm.values()), np.uint8).reshape(rank, 2 * P)
+        steps = []
+        for i, s in enumerate(gens):
+            image = shortest[:, i]
+            steps.append(s.take(shorter[shorter[:, i] == i]))  # sx, s an ascent fixed by x
+            steps.append(s.take(shortest[(image < P) & (image != i)][:, s]))  # sxs
+        y = np.concatenate(steps)
+        by = np.repeat(np.arange(2 * rank) // 2, [len(step) for step in steps])  # each y's s
+        return y[(y[:, :rank] >= P).argmax(axis=1) == by]  # s is y's least descent
+
     # -- parabolic subgroups and coset representatives -------------------------
 
     def _check_parabolic(self, J):
@@ -947,14 +930,10 @@ class CoxeterGroup(GeometricGroup):
         return J
 
     def in_parabolic(self, w, J):
-        """Membership in W_J, via N(w) lying inside the J-supported roots."""
-        J = self._check_parabolic(J)
-        jmask = sum(1 << (j - 1) for j in J)
-        bits = self._n_bits(w.perm)
-        for p in _iter_bits(bits):
-            if self.roots.supports[p] & ~jmask:
-                return False
-        return True
+        """Membership in W_J: the reduced words of one element are linked by
+        braid moves (Tits), which keep the letters, so w is in W_J iff its
+        lexmin word has only letters in J."""
+        return set(w.word) <= self._check_parabolic(J)
 
     def coset_representatives(self, J, side="right"):
         """Distinguished coset representatives of W_J.
@@ -965,24 +944,7 @@ class CoxeterGroup(GeometricGroup):
         J = self._check_parabolic(J)
         if side not in ("right", "left"):
             raise ValueError("side must be 'right' or 'left'")
-        P = self.pos_count
-        reps = {self.identity_perm}
-        frontier = [self.identity_perm]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                xt = x + self._pad
-                for i in self.generators:
-                    if x[i - 1] < P:
-                        y = self.gen_perm[i].translate(xt)
-                        if y in reps:
-                            continue
-                        desc = self._left_descents(y)
-                        if not any(j - 1 in desc for j in J):
-                            reps.add(y)
-                            nxt.append(y)
-            frontier = nxt
-        out = [Element(self, p) for p in reps]
+        out = [Element(self, p) for p in self._weak_order_walk(J)]
         if side == "left":
             out = [e.inverse() for e in out]
         return sorted(out, key=Element.sort_key)
@@ -998,7 +960,7 @@ class CoxeterGroup(GeometricGroup):
                 return Element(self, a)
             a = self.gen_perm[s].translate(a + self._pad)
 
-    def classify_dn_coset_rep(self, x, n=None):
+    def classify_dn_coset_rep(self, x):
         """Which reduced factorization x = a.b a D_n coset representative has.
 
         x must be a non-identity member of X_J for J = R \\ {r_n}.  Returns a
@@ -1008,9 +970,7 @@ class CoxeterGroup(GeometricGroup):
         """
         if self.spec is None or self.spec.factors != (("D", self.rank),):
             raise SpecError("classification applies to groups of type D_n")
-        n = self.rank if n is None else n
-        if n != self.rank:
-            raise ValueError("rank argument disagrees with the group")
+        n = self.rank
         J = frozenset(range(1, n))
         if x.is_identity():
             raise ValueError("x must be a non-identity coset representative")

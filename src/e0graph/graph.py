@@ -93,8 +93,7 @@ def vertex_bytes(group):
     N-set words, then 256 bytes: its N-set key and slot in the index (about
     100), its valency as an int64 and as an int in a list (44), its length,
     reach and kernel bytes (about 40), with room to spare, which also covers
-    the walk's transients (a layer's repeated finds, with their words and
-    sort order, before they are dropped)."""
+    the walk's transients (a layer's finds, before its keep rule)."""
     P = group.pos_count
     return 2 * P + 8 * -(-P // 64) + 256
 

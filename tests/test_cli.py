@@ -157,6 +157,24 @@ def test_pendant_computes_each_word_once(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == PENDANT_E6_SHA256
 
 
+# SHA-256 of the outputs of commands that walk the weak order, taken while
+# the group and its cosets had a walk each and W_J membership read root supports
+WALK_SHA256 = {
+    ("cosets", "-g", "D5", "--exclude", "5", "--classify"):
+        "25e93be4b25a780501ca5a5601eb045a3695d3aaf9e730506a70cedb642b7dac",
+    ("cosets", "-g", "H3", "--parabolic", "1,2", "--side", "left"):
+        "44b625373fc7561ef644915731285148a513af6a4f11db059e4e0ca4eb54301b",
+    ("excess", "-g", "B3"): "2a61e99bff156ed4e35e5d99fa9e9c08fbc96b2ae848903fdfdf3564aa05653e",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(WALK_SHA256), ids=" ".join)
+def test_walk_outputs_are_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == WALK_SHA256[argv]
+
+
 def test_excess_word(capsys):
     # the 4-cycle [1,2,3] is one of the two members of Sym(4) with excess 2
     code, out, _ = run(capsys, "excess", "-g", "A3", "--word", "[1..3]")

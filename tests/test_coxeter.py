@@ -1,6 +1,7 @@
 """Core group machinery: specs, roots, words, lengths, cosets."""
 
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -139,13 +140,13 @@ def test_involution_walk_stops_at_limit(monkeypatch):
     # a group with an exact count is refused before the walk, one given by
     # its Coxeter matrix alone as soon as the walk finds too many
     layers = []
-    real = coxeter.pack_words
+    real = CoxeterGroup._next_involutions
 
-    def counted(member):  # the walk packs each layer's finds once
-        layers.append(len(member))
-        return real(member)
+    def counted(self, *args):  # the walk steps each layer once
+        layers.append(len(layer := real(self, *args)))
+        return layer
 
-    monkeypatch.setattr(coxeter, "pack_words", counted)
+    monkeypatch.setattr(CoxeterGroup, "_next_involutions", counted)
     g = CoxeterGroup.from_spec("A5")
     with pytest.raises(SpecError, match="A5 has more than 10 involutions"):
         g.involution_perms(limit=10)
@@ -324,9 +325,9 @@ def test_length_examples():
 
 def test_is_reduced():
     g = CoxeterGroup.from_spec("A2")
-    assert not g.is_reduced((1, 1))
-    assert g.is_reduced((1, 2, 1))
-    assert not g.is_reduced((1, 2, 1, 2))
+    assert len(g.reduce_word((1, 1))) != 2
+    assert len(g.reduce_word((1, 2, 1))) == 3
+    assert len(g.reduce_word((1, 2, 1, 2))) != 4
 
 
 def _bfs_word_lengths(group):
@@ -467,6 +468,23 @@ def test_coset_factorization_lengths_add(label, J):
     # |W| = |W_J| * |X_J|: count W_J by enumerating elements inside the parabolic
     wj = [p for p in g.enumerate_perms() if g.in_parabolic(Element(g, p), J)]
     assert len(wj) * len(reps) == g.order()
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "D4", "H3", "I2(5)"])
+def test_in_parabolic_matches_root_supports(label):
+    # w lies in W_J iff every root w sends negative is supported on J
+    from e0graph.coxeter import Element
+
+    g = CoxeterGroup.from_spec(label)
+    supports = [frozenset(j + 1 for j, c in enumerate(v) if abs(c) > 1e-7)
+                for v in g.roots.pos_roots]
+    elements = [Element(g, p) for p in g.enumerate_perms()]
+    for r in range(g.rank + 1):
+        for J in combinations(g.generators, r):
+            for w in elements:
+                want = all(supports[p] <= set(J) for p in w.n_set())
+                assert g.in_parabolic(w, J) == want
+    assert set(g.coset_representatives(frozenset())) == set(elements)  # X_0 = W
 
 
 def test_classify_dn_examples():

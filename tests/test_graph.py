@@ -23,7 +23,6 @@ from e0graph.coxeter import (
     Element,
     SpecError,
     ToleranceError,
-    _iter_bits,
     format_word,
     generate_root_system,
     pack_words,
@@ -152,14 +151,14 @@ def _has_central_w0(label):
 
 
 def _walked_layers(monkeypatch):
-    """The number of finds of each layer the involution walks pack."""
-    layers, real = [], coxeter.pack_words
+    """The number of involutions of each layer the involution walks step."""
+    layers, real = [], CoxeterGroup._next_involutions
 
-    def counted(member):
-        layers.append(len(member))
-        return real(member)
+    def counted(self, *args):
+        layers.append(len(layer := real(self, *args)))
+        return layer
 
-    monkeypatch.setattr(coxeter, "pack_words", counted)
+    monkeypatch.setattr(CoxeterGroup, "_next_involutions", counted)
     return layers
 
 
@@ -170,6 +169,37 @@ def _walk_matches_the_reference(grp):
     lengths = [grp._length(p) for p in got]
     assert lengths == sorted(lengths)  # by length
     assert Counter(lengths) == Counter(map(grp._length, want))
+
+
+def _first_find_walk(grp):
+    """The involutions' perms, joined, in the order the walk made them when
+    it dropped repeats by N-set: layer L's finds by generator, sx from layer
+    L - 1 before sxs from layer L - 2, then by row, each N-set's first find
+    kept; when w0 = -1, the layers past |Phi+| // 2 are w0 times the shorter
+    ones, longest first."""
+    P, w0 = grp.pos_count, grp.longest_element().perm
+    top = P // 2 if w0[: grp.rank] == bytes(range(P, P + grp.rank)) else P
+    layers = [[grp.identity_perm]]
+    for L in range(1, top + 1):
+        seen, layer = set(), []
+        for i in grp.generators:
+            finds = [x.translate(grp.gen_table[i]) for x in layers[L - 1] if x[i - 1] == i - 1]
+            finds += [grp.gen_perm[i].translate(x.translate(grp.gen_table[i]) + grp._pad)
+                      for x in layers[L - 2] if L > 1 and i - 1 != x[i - 1] < P]
+            for y in finds:
+                if grp._n_bits(y) not in seen:
+                    seen.add(grp._n_bits(y))
+                    layer.append(y)
+        layers.append(layer)
+    if top < P:
+        layers += [[grp._mul(w0, x) for x in layer] for layer in layers[P - top - 1 :: -1]]
+    return b"".join(b"".join(layer) for layer in layers[1:])
+
+
+@pytest.mark.parametrize("label", SUITE + ("D7", "E6", "E7", "H4", "B2xB2xB2xB2xB2"))
+def test_walk_keeps_the_first_finds_in_order(label):
+    grp = CoxeterGroup.from_spec(label)
+    assert grp.involution_perms().tobytes() == _first_find_walk(grp)
 
 
 MIRRORED = [label for label in SUITE if _has_central_w0(label)] + ["E7", "B2xB2xB2xB2xB2"]
@@ -724,6 +754,14 @@ def test_every_hat_vertex_touches_a_generator():
 # ---------------------------------------------------------------------------
 # components and diameter
 # ---------------------------------------------------------------------------
+
+def _iter_bits(bits):
+    """The indices of the set bits of an int, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
 
 def _set_bits(x, nbytes):
     """The indices of the set bits of x, as a list (faster than _iter_bits
