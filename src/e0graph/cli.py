@@ -32,7 +32,7 @@ from .coxeter import (
 HEAVY_ORDER = 30_000
 
 
-def load_group(text, radius=None):
+def load_group(text):
     """Build a group from a label or a JSON matrix file.
 
     Returns a finite CoxeterGroup, or an InfiniteCoxeterGroup when the label

@@ -689,7 +689,6 @@ class CoxeterGroup(GeometricGroup):
             self.gen_perm[i] = bytes(perm)
             self.gen_table[i] = bytes(perm) + self._pad
         self._elements = None
-        self._involution_perms = None
         self._w0 = None
         lw0 = self.longest_element().length
         if lw0 != P:
@@ -776,13 +775,6 @@ class CoxeterGroup(GeometricGroup):
         self._check_letters(word)
         return Element(self, self._word_perm(word))
 
-    def descent_sets(self, w):
-        """(left, right) descent sets as sets of generator indices."""
-        P = self.pos_count
-        right = {i for i in self.generators if w.perm[i - 1] >= P}
-        left = {i + 1 for i in self._left_descents(w.perm)}
-        return left, right
-
     def longest_element(self):
         """w0, the longest element of the parabolic on every generator."""
         if self._w0 is None:
@@ -827,7 +819,7 @@ class CoxeterGroup(GeometricGroup):
 
     def involution_perms(self, limit=None):
         """The non-identity involutions, by length, as the rows of one
-        (V, 2 |Phi+|) uint8 array of root permutations (cached).
+        (V, 2 |Phi+|) uint8 array of root permutations.
 
         A group whose exact count (`GroupSpec.involution_count`) is more than
         `limit` is refused before the walk; one with no count, given by its
@@ -837,13 +829,9 @@ class CoxeterGroup(GeometricGroup):
         """
         cap = math.inf if limit is None else limit
         count = None if self.spec is None else self.spec.involution_count()
-        perms = self._involution_perms
-        known = count if perms is None else len(perms)
-        if known is not None and known > cap:
+        if count is not None and count > cap:
             raise SpecError(f"{self.label} has more than {limit} involutions")
-        if perms is None:
-            perms = self._involution_perms = self._walk_involutions(cap, count)
-        return perms
+        return self._walk_involutions(cap, count)
 
     def _walk_involutions(self, cap, count):
         """The walk of `involution_perms`, one length at a time.

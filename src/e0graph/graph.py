@@ -19,20 +19,21 @@ in export ids; only the upper triangle up to each chunk's length cut is
 unpacked, and each vertex's run of edges to later ids is one str.join
 (`E0Graph._edge_blocks`).
 
-x and y are joined exactly when l(xy) = l(x) + l(y), which happens iff
-N(x) and N(y) are disjoint.  The graph holds the N-sets, packed into k =
-ceil(|Phi+| / 64) machine words each (`CoxeterGroup.n_set_words`), not its
-adjacency: the complement of the boolean product N N^T of the V x |Phi+|
-N-set matrix, which one kernel (`_Kernel`, the Four Russians method) reads
-two ways.  `build_graph` sums the valencies one chunk of columns at a time
-(`_degrees`): each chunk's tables are built once for all rows, and no block
-of rows is held.  The exports and `E0Graph.rows` read the matrix a block of
-packed rows at a time (`_row_blocks`).  A row of length l reads only the
-columns of length <= |Phi+| - l, since |N(x)| + |N(y)| > |Phi+| forces two
-N-sets to meet.  One vertex's row is read off the words alone
-(`E0Graph.row`); the whole V x ceil(V/64) matrix `E0Graph.rows` is built,
-within `ADJACENCY_BUDGET`, only for a ball's pair scans and the benchmark's
-`adj`.
+x and y are joined exactly when l(xy) = l(x) + l(y), which happens iff N(x)
+and N(y) are disjoint: an `E0Graph` is read off its vertex set alone.  It
+holds their N-sets, packed into k = ceil(|Phi+| / 64) machine words each
+(`CoxeterGroup.n_set_words`), not its adjacency: the complement of the
+boolean product N N^T of the V x |Phi+| N-set matrix, which one kernel
+(`_Kernel`, the Four Russians method) reads two ways.  `build_graph` sums
+the valencies one chunk of columns at a time (`_degrees`): each chunk's
+tables are built once for all rows, and no block of rows is held.  The
+exports and `E0Graph.rows` read the matrix a block of packed rows at a time
+(`_row_blocks`).  A row of length l reads only the columns of length
+<= K - l, K one past the highest root in any N-set (`_reach`; |Phi+| for a
+finite group, as N(w0) = Phi+), since |N(x)| + |N(y)| > K forces two N-sets
+to meet.  One vertex's row is read off the words alone (`E0Graph.row`); the
+whole V x ceil(V/64) matrix `E0Graph.rows` is built, within
+`ADJACENCY_BUDGET`, only for a ball's pair scans and the benchmark's `adj`.
 
 Components, the diameter and distances need no adjacency.  Let D(x) be the
 simple roots in N(x), the descent set of x.  A generator s has N(s) =
@@ -50,8 +51,9 @@ count of a labelled group (`GroupSpec.involution_count`), and, for a group
 given by its Coxeter matrix alone, as soon as the walk finds too many.  E8
 and B10 build; A15 is refused at once.  A ball of an infinite group
 (`infinite.Ball.graph`) is the same `E0Graph` on the ball's involutions, an
-`InvolutionSet` of its members, with its N-sets packed by the same
-`pack_words` and read by the same kernel, uncut.
+`InvolutionSet` of its members and their N-sets, packed by the same
+`pack_words` over the roots that two of them share, and read by the same
+kernel with the same cut.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from .coxeter import (
     CoxeterGroup,
     Element,
     SpecError,
+    ToleranceError,
     ascending,
     descending,
     format_word,
@@ -99,19 +102,24 @@ def vertex_bytes(group):
 
 
 class InvolutionSet:
-    """Non-identity involutions in a fixed order, indexed by element key.
-
-    This is a ball's: its list of members in (length, word) order.  A finite
-    group's is a `FiniteInvolutionSet`.
+    """A ball's non-identity involutions in (length, word) order, indexed by
+    element key, with their stored words and their N-sets, `words`, as
+    `pack_words` packs them.  A finite group's is a `FiniteInvolutionSet`.
     """
 
-    def __init__(self, group, elements):
+    def __init__(self, group, elements, words):
         self.group = group
         self.elements = elements
-        self.index = {e.key: i for i, e in enumerate(elements)}
+        self.words = words
+        self._index(e.key for e in elements)
+
+    def _index(self, keys):
+        self.index = dict(zip(keys, range(len(self))))
+        if len(self.index) < len(self):  # refused, not merged
+            raise ToleranceError(f"involution keys collide: {len(self.index)} keys for {len(self)}")
 
     def __len__(self):
-        return len(self.index)
+        return self.words.shape[1]
 
     def __iter__(self):
         return iter(self.elements)
@@ -124,6 +132,9 @@ class InvolutionSet:
             return self.index[x.key]
         except KeyError:
             raise ValueError(f"{x!r} is not a vertex of this involution set")
+
+    def lexmin_words(self):
+        return [e.word for e in self.elements]  # each member's stored word
 
 
 class FiniteInvolutionSet(InvolutionSet):
@@ -145,7 +156,7 @@ class FiniteInvolutionSet(InvolutionSet):
         keys = self.words[0].tolist()
         for w in range(1, len(self.words)):
             keys = [key | high << 64 * w for key, high in zip(keys, self.words[w].tolist())]
-        self.index = dict(zip(keys, range(len(perms))))
+        self._index(keys)
 
     @cached_property
     def elements(self):
@@ -155,6 +166,9 @@ class FiniteInvolutionSet(InvolutionSet):
 
     def element(self, i):
         return Element(self.group, self.perms[i].tobytes())
+
+    def lexmin_words(self):
+        return _lexmin_words(self, _lengths(self.words))
 
 
 def enumerate_involutions(group):
@@ -167,29 +181,29 @@ def enumerate_involutions(group):
     if not isinstance(group, CoxeterGroup):
         raise SpecError(f"{group.label} is infinite; use the ball explorer")
     per = vertex_bytes(group)
+    limit = ADJACENCY_BUDGET // per
     try:
-        perms = group.involution_perms(ADJACENCY_BUDGET // per)
+        if getattr(group, "_involutions", None) is None:
+            group._involutions = FiniteInvolutionSet(group, group.involution_perms(limit))
+        elif len(group._involutions) > limit:
+            raise SpecError(f"{group.label} has more than {limit} involutions")
     except SpecError as exc:  # the walk's own refusal, named by its budget
         raise SpecError(f"{exc}, at {per} bytes each more than "
                         f"ADJACENCY_BUDGET ({ADJACENCY_BUDGET} bytes)") from None
-    cached = getattr(group, "_involutions", None)
-    if cached is None:
-        cached = group._involutions = FiniteInvolutionSet(group, perms)
-    return cached
+    return group._involutions
 
 
 class E0Graph:
-    """The graph itself: the involution vertices and their N-set words, the
-    (k, V) word-major array of `pack_words`; `radius` is the radius of a
-    ball's graph, None for a finite group's."""
+    """The graph itself, fixed by its vertex set `vertices` (an
+    `InvolutionSet`): its group, and the N-set `words` that it is read off;
+    `radius`, the radius of a ball's graph, only labels its JSON export."""
 
-    def __init__(self, group, vertices, words, radius=None):
-        self.group = group
+    def __init__(self, vertices, radius=None):
         self.vertices = vertices
-        self.words = words
+        self.group = vertices.group
+        self.words = vertices.words
         self.radius = radius
         self._degrees = None
-        self._export = None  # (words, labels, order), see _export_order
 
     @cached_property
     def rows(self):
@@ -203,7 +217,7 @@ class E0Graph:
         if need > ADJACENCY_BUDGET:
             raise SpecError(f"the adjacency matrix of {self.group.label} needs {need} bytes, "
                             f"more than ADJACENCY_BUDGET ({ADJACENCY_BUDGET} bytes)")
-        return _pairwise_disjoint_rows(self.words, self._reach(self.words))
+        return _pairwise_disjoint_rows(self.words)
 
     @property
     def adj(self):
@@ -252,47 +266,30 @@ class E0Graph:
         """The valencies, popcounted one chunk of columns at a time
         (`_degrees`; computed once)."""
         if self._degrees is None:
-            self._degrees = _degrees(self.words, self._reach(self.words)).tolist()
+            self._degrees = _degrees(self.words).tolist()
         return self._degrees
 
     def edge_count(self):
         return sum(self.degrees()) // 2
-
-    def _reach(self, words):
-        """For a finite group's graph on the N-set columns `words`, the
-        columns past which each row has no bit (`_row_blocks`): two N-sets
-        with |N(x)| + |N(y)| > |Phi+| meet.  None for a ball's graph, whose
-        N-sets are over the shared roots only."""
-        if self.radius is not None:
-            return None
-        lengths = _lengths(words)
-        P = self.group.pos_count
-        last = np.full(P + 1, -1)  # last[l]: the last vertex of length <= l
-        np.maximum.at(last, lengths, np.arange(len(lengths)))
-        return np.maximum.accumulate(last)[P - lengths] + 1
 
     def neighborhood(self, x):
         """The set of vertices adjacent to x, from its `row`."""
         row = self.row(self.vertices.index_of(x))
         return {self.vertices.element(j) for j in np.flatnonzero(row)}
 
+    @cached_property
     def _export_order(self):
         """(words, labels, order): the lexmin words in export order, their
         `format_word` labels, and the vertex index of each export id.  Export
         ids number the vertices by (length, lexmin word); the words and
-        labels are computed here only, once per graph: a finite group's by
-        `_lexmin_words`, a ball's are its elements' stored words."""
-        if self._export is None:
-            if self.radius is None:
-                words = _lexmin_words(self.vertices, _lengths(self.words))
-            else:
-                words = [e.word for e in self.vertices]
-            # a lexmin word is reduced, so its length is the element's
-            order = sorted(range(len(words)), key=lambda i: (len(words[i]), words[i]))
-            words = [words[i] for i in order]
-            labels = np.fromiter(map(format_word, words), dtype=object, count=len(words))
-            self._export = words, labels, np.array(order)
-        return self._export
+        labels are computed here only, once per graph
+        (`InvolutionSet.lexmin_words`)."""
+        words = self.vertices.lexmin_words()
+        # a lexmin word is reduced, so its length is the element's
+        order = sorted(range(len(words)), key=lambda i: (len(words[i]), words[i]))
+        words = [words[i] for i in order]
+        labels = np.fromiter(map(format_word, words), dtype=object, count=len(words))
+        return words, labels, np.array(order)
 
     def _edge_text(self, head, pre, mid, post, sep, tail):
         """head, the edges in export ids and tail, as one str: edge (a, b),
@@ -304,7 +301,7 @@ class E0Graph:
         an anonymous mapping, outside the malloc heap: a freed heap buffer
         of that size moved glibc's mmap threshold, and the next export's
         peak then hung on the heap's layout."""
-        *_, order = self._export_order()
+        *_, order = self._export_order
         deg = np.array(self.degrees())[order]  # of export id a
         E = self.edge_count()
         digits = np.array([len(str(a)) for a in range(len(order))])
@@ -328,16 +325,14 @@ class E0Graph:
         and the lower triangle left in those bits is cleared before they are
         read.  A row's run of edges is one str.join of the b ids: no edge is
         formatted on its own."""
-        *_, order = self._export_order()
+        *_, order = self._export_order
         V = len(order)
         words = self.words[:, order]
-        reach = self._reach(words)
-        if reach is None:  # a ball's rows may reach any column
-            reach = np.full(V, V)
+        reach = _reach(words)
         ids = np.array([str(b) for b in range(V)], dtype=object)
         step = max(1, CHUNK_BYTES // max(V, 1))
         lead = ""
-        for first, block in _row_blocks(words, reach):
+        for first, block in _row_blocks(words):
             for start in range(first, first + len(block), step):
                 stop = min(start + step, first + len(block))
                 top = int(reach[start:stop].max())  # no row has a bit from column top on
@@ -370,7 +365,7 @@ class E0Graph:
         list; the text between the markers is what json writes inside an
         edge and between two edges; `_edge_blocks` joins each row's edges with it.
         """
-        words, labels, _ = self._export_order()
+        words, labels, _ = self._export_order
         doc = {"group": self.group.label}
         if self.radius is not None:
             doc["radius"] = self.radius
@@ -385,7 +380,7 @@ class E0Graph:
         return self._edge_text(head, "", mid, "", sep, tail)
 
     def to_dot(self):
-        _, labels, _ = self._export_order()
+        _, labels, _ = self._export_order
         lines = [f'graph "{self.group.label}" {{']
         lines.extend(f'  v{i} [label="{label}"];' for i, label in enumerate(labels))
         if not self.edge_count():
@@ -401,20 +396,29 @@ def build_graph(group):
     involutions would take more than `ADJACENCY_BUDGET`
     (`enumerate_involutions`).
     """
-    cached = getattr(group, "_e0graph", None)
-    if cached is not None:
-        return cached
-    vertices = enumerate_involutions(group)
-    g = E0Graph(group, vertices, vertices.words)
-    g.degrees()
-    group._e0graph = g
-    return g
+    if getattr(group, "_e0graph", None) is None:
+        g = E0Graph(enumerate_involutions(group))
+        g.degrees()
+        group._e0graph = g
+    return group._e0graph
 
 
 def _lengths(words):
     """The length of each vertex, l(x) = |N(x)|: the popcount of its column
     of the (k, V) N-set words."""
     return np.bitwise_count(words).sum(axis=0, dtype=np.int64)
+
+
+def _reach(words):
+    """The column past which each row of the graph on the N-sets `words` has
+    no bit: with K one past the highest root any N-set holds (|Phi+| for a
+    finite group, as N(w0) = Phi+), |N(x)| + |N(y)| > K forces them to meet."""
+    lengths = _lengths(words)
+    K = max((64 * w + int(h).bit_length()
+             for w, h in enumerate(np.bitwise_or.reduce(words, axis=1).tolist()) if h), default=0)
+    last = np.full(K + 1, -1)  # last[l]: the last vertex of length <= l
+    np.maximum.at(last, lengths, np.arange(len(lengths)))
+    return np.maximum.accumulate(last)[K - lengths] + 1
 
 
 def _lexmin_words(vertices, lengths):
@@ -527,7 +531,7 @@ class _Kernel:
             out |= np.bitwise_or.reduce(picked, axis=0)
 
 
-def _row_blocks(words, reach=None):
+def _row_blocks(words):
     """The adjacency matrix as (start, block) pairs, in order: block is the
     packed (rows, ceil(V/64)) little-endian uint64 array of rows start,
     start + 1, ..., bit j of row i set iff i != j and N-sets i and j are
@@ -536,11 +540,11 @@ def _row_blocks(words, reach=None):
     overwrites, and reads each table, of `gc` groups and `cells // gc`
     words, as it is built.
 
-    `reach[i]`, when given, is a column past which row i has no bit: a
-    block reads only the columns before the largest reach of its rows, and
-    leaves the words past them zero.
+    Row i has no bit from column `_reach(words)[i]` on: a block reads only
+    the columns before the largest reach of its rows, and leaves the words
+    past them zero.
     """
-    kernel = _Kernel(words)
+    kernel, reach = _Kernel(words), _reach(words)
     V, W = kernel.V, kernel.W
     Wc = kernel.cells // kernel.gc
     rb = kernel.gather_rows(Wc)
@@ -548,7 +552,7 @@ def _row_blocks(words, reach=None):
     buf = np.empty((min(R, V), W), dtype="<u8")
     for first in range(0, V, R):
         last = min(first + R, V)
-        Wr = W if reach is None else -(-int(reach[first:last].max()) // 64)
+        Wr = -(-int(reach[first:last].max()) // 64)
         block = buf[: last - first]
         block[:] = 0
         for g in range(0, kernel.G, kernel.gc):
@@ -564,7 +568,7 @@ def _row_blocks(words, reach=None):
         yield first, block
 
 
-def _degrees(words, reach=None):
+def _degrees(words):
     """The valencies of the graph on the N-set `words`, as an int64 array,
     summed one chunk of columns at a time: a chunk's tables, every group's
     within `cells`, are built once for all rows, and the rows' product bits
@@ -572,9 +576,9 @@ def _degrees(words, reach=None):
     whole rows is held.  A row's valency is the columns below V, less the
     product's set bits, less its own column when its N-set holds no shared
     root (the product's diagonal is then 0).  A chunk reads only the rows
-    whose `reach` (see `_row_blocks`) passes its first column; the others
-    have no bit there, and the diagonal is counted only where it is read."""
-    kernel = _Kernel(words)
+    whose `_reach` passes its first column; the others have no bit there,
+    and the diagonal is counted only where it is read."""
+    kernel, reach = _Kernel(words), _reach(words)
     V = kernel.V
     Wd = max(1, kernel.cells // max(kernel.G, 1))
     rb = kernel.gather_rows(Wd)
@@ -582,7 +586,7 @@ def _degrees(words, reach=None):
     deg = np.zeros(V, dtype=np.int64)
     for c in range(0, kernel.W, Wd):
         ce = min(c + Wd, kernel.W)
-        rows = np.arange(V) if reach is None else np.flatnonzero(reach > 64 * c)
+        rows = np.flatnonzero(reach > 64 * c)
         deg[rows] += columns[c:ce].sum()
         tables = kernel.tables(c, ce, range(0, kernel.G, kernel.gc))
         for r in range(0, len(rows), rb):
@@ -590,18 +594,16 @@ def _degrees(words, reach=None):
             block = np.zeros((len(some), ce - c), dtype="<u8")
             kernel.ors(tables, some, block)
             deg[some] -= np.bitwise_count(block).sum(axis=1, dtype=np.int64)
-    diagonal = ~kernel.idx.any(axis=0)
-    if reach is not None:  # the first column of the chunk holding column i
-        diagonal &= reach > 64 * Wd * (np.arange(V) // (64 * Wd))
+    diagonal = ~kernel.idx.any(axis=0) & (reach > 64 * Wd * (np.arange(V) // (64 * Wd)))
     return deg - diagonal
 
 
-def _pairwise_disjoint_rows(words, reach=None):
-    """The whole adjacency matrix of `_row_blocks(words, reach)`, its blocks
+def _pairwise_disjoint_rows(words):
+    """The whole adjacency matrix of `_row_blocks(words)`, its blocks
     written into one V x ceil(V/64) array."""
     V = words.shape[1]
     rows = np.empty((V, -(-V // 64)), dtype="<u8")
-    for first, block in _row_blocks(words, reach):
+    for first, block in _row_blocks(words):
         rows[first : first + len(block)] = block
     return rows
 

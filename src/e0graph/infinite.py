@@ -78,6 +78,7 @@ from .graph import E0Graph, InvolutionSet
 MATRIX_KEY_DECIMALS = 6
 MATRIX_COLLISION_TOL = 1e-5
 ROOT_COLLISION_TOL = 1e-5
+EXTRA = 2  # the radius past its ball that a report searches for common neighbours
 
 
 def _mat_keys(mats):
@@ -551,7 +552,7 @@ def _graph_on(group, invs, radius):
     shared = held[cols]
     member = np.zeros((len(invs), np.count_nonzero(held)), dtype=bool)
     member[owner[shared], (np.cumsum(held) - 1)[cols[shared]]] = True
-    return E0Graph(group, InvolutionSet(group, invs), pack_words(member), radius)
+    return E0Graph(InvolutionSet(group, invs, pack_words(member)), radius)
 
 
 def universal_neighborhood(x, graph):
@@ -585,7 +586,6 @@ class EvidenceReport:
     kind: str
     group_label: str
     radius: int
-    extra: int
     diameter_claim: int
     claims: list
 
@@ -598,7 +598,7 @@ class EvidenceReport:
             "kind": self.kind,
             "group": self.group_label,
             "radius": self.radius,
-            "extra": self.extra,
+            "extra": EXTRA,
             "diameter_claim": self.diameter_claim,
             "ok": self.ok,
             "claims": [
@@ -611,20 +611,20 @@ class EvidenceReport:
         return json.dumps(self.to_json_dict(), **kwargs)
 
 
-def ball_graph_diameter_evidence(group, radius, extra=2):
+def ball_graph_diameter_evidence(group, radius):
     """Finite evidence for the diameter of an infinite group's graph.
 
     Universal groups (including the infinite dihedral one) get diameter-2
     evidence: a non-adjacent witness pair, plus a distance <= 2 certificate
     for every involution pair in the ball, with common neighbours searched
-    in the enlarged ball of radius + extra.  Other infinite groups get the
+    in the enlarged ball of radius + `EXTRA`.  Other infinite groups get the
     two-finite-maximal-parabolic certificate for diameter 3.
     """
     if radius < 3:
         raise ValueError("radius too small to contain witnesses (need >= 3)")
     if group.is_universal:
-        return _universal_evidence(group, radius, extra)
-    return _max_parabolic_evidence(group, radius, extra)
+        return _universal_evidence(group, radius)
+    return _max_parabolic_evidence(group, radius)
 
 
 def _pair_scan(g, radius):
@@ -680,15 +680,15 @@ def _distance_2_claims(invs, far, alone, radius, searched=""):
     ]
 
 
-def _universal_evidence(group, radius, extra):
-    g = involution_graph(group, radius + extra)
+def _universal_evidence(group, radius):
+    g = involution_graph(group, radius + EXTRA)
     _, far, alone = _pair_scan(g, radius)
     claims = _distance_2_claims(g.vertices.elements, far, alone, radius,
-                                f" (common neighbours searched at radius {radius + extra})")
-    return EvidenceReport("universal-diameter-2", group.label, radius, extra, 2, claims)
+                                f" (common neighbours searched at radius {radius + EXTRA})")
+    return EvidenceReport("universal-diameter-2", group.label, radius, 2, claims)
 
 
-def _max_parabolic_evidence(group, radius, extra):
+def _max_parabolic_evidence(group, radius):
     """Diameter-3 certificate from two finite maximal parabolic subgroups."""
     R = set(group.generators)
     # the first two r whose maximal parabolic on R - {r} is finite
@@ -696,7 +696,7 @@ def _max_parabolic_evidence(group, radius, extra):
     exists = "two finite maximal parabolic subgroups exist"
     if len(finite) < 2:
         claims = [Claim(exists, False, {})]
-        return EvidenceReport("max-parabolic-diameter-3", group.label, radius, extra, 3, claims)
+        return EvidenceReport("max-parabolic-diameter-3", group.label, radius, 3, claims)
     r, s = finite
     x, y = (group.parabolic_longest(R - {t}) for t in finite)
 
@@ -739,10 +739,10 @@ def _max_parabolic_evidence(group, radius, extra):
             {},
         ),
     ]
-    return EvidenceReport("max-parabolic-diameter-3", group.label, radius, extra, 3, claims)
+    return EvidenceReport("max-parabolic-diameter-3", group.label, radius, 3, claims)
 
 
-def product_diameter_check(specs, radius, extra=2):
+def product_diameter_check(specs, radius):
     """Ball checks for a direct product of infinite groups.
 
     Verifies the coordinatewise adjacency criterion against the direct
@@ -758,7 +758,7 @@ def product_diameter_check(specs, radius, extra=2):
             raise SpecError("pass each irreducible factor separately")
     if len(specs) == 1:
         group = InfiniteCoxeterGroup.from_spec(specs[0])
-        return ball_graph_diameter_evidence(group, radius, extra)
+        return ball_graph_diameter_evidence(group, radius)
 
     product_spec = GroupSpec(tuple(f for s in specs for f in s.factors))
     group = InfiniteCoxeterGroup.from_spec(product_spec)
@@ -774,10 +774,10 @@ def product_diameter_check(specs, radius, extra=2):
         hi = lo + factors[k].rank
         return tuple(l - lo for l in word if lo < l <= hi)
 
-    g = involution_graph(group, radius + extra)
+    g = involution_graph(group, radius + EXTRA)
     invs = g.vertices.elements
     # one graph per distinct factor: U3xU3 walks U3 once
-    graph_of = {s: involution_graph(f, radius + extra)
+    graph_of = {s: involution_graph(f, radius + EXTRA)
                 for s, f in dict(zip(specs, factors)).items()}
     factor_graphs = [graph_of[s] for s in specs]
     # coords[v, k]: the vertex of factor graph k that is the k-th coordinate
@@ -820,4 +820,4 @@ def product_diameter_check(specs, radius, extra=2):
         ),
         witness,
     ]
-    return EvidenceReport("product-diameter-2", group.label, radius, extra, 2, claims)
+    return EvidenceReport("product-diameter-2", group.label, radius, 2, claims)

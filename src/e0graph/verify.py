@@ -344,7 +344,7 @@ def _lem_universal(rep, _):
     u2 = inf.InfiniteCoxeterGroup.from_spec("U2")
     u3 = inf.InfiniteCoxeterGroup.from_spec("U3")
 
-    ev = inf.ball_graph_diameter_evidence(u2, 8, extra=2)
+    ev = inf.ball_graph_diameter_evidence(u2, 8)
     rep.require(
         "infinite dihedral: every involution pair at radius 8 is adjacent or "
         "shares a neighbour within radius 10",

@@ -1,5 +1,6 @@
 """The graph itself: adjacency, valencies, components, pendants, excess."""
 
+import copy
 import hashlib
 import json
 import os
@@ -75,7 +76,7 @@ def _perm_array(elems):
 
 def _export_elements(g):
     """The vertices of g in export-id order; checks the export's words."""
-    words, labels, order = g._export_order()
+    words, labels, order = g._export_order
     assert labels.tolist() == [format_word(w) for w in words]
     assert sorted(order.tolist()) == list(range(len(g)))
     elems = [g.vertices.elements[i] for i in order]
@@ -332,10 +333,18 @@ def test_exports_ignore_the_vertex_order(label):
     random.Random(label).shuffle(elems)
     assert elems != g.vertices.elements
     vertices = FiniteInvolutionSet(grp, _perm_array(elems))
-    shuffled = E0Graph(grp, vertices, vertices.words)
+    shuffled = E0Graph(vertices)
     assert shuffled.to_json() == g.to_json()
     assert shuffled.to_json(indent=2) == g.to_json(indent=2)
     assert shuffled.to_dot() == g.to_dot()
+
+
+def test_repeated_vertices_are_refused():
+    # two rows of one involution would share an index key, and be merged
+    grp = group("A3")
+    perms = enumerate_involutions(grp).perms
+    with pytest.raises(ToleranceError, match="keys collide: 2 keys for 3"):
+        FiniteInvolutionSet(grp, perms[[0, 1, 0]])
 
 
 def _counted_walks(monkeypatch):
@@ -365,7 +374,7 @@ def test_budget_refuses_during_the_walk(monkeypatch, tmp_path):
     with pytest.raises(SpecError, match=rf"custom\(rank=5\) has more than 6 involutions, at "
                                         rf"{per} bytes each more than ADJACENCY_BUDGET \("):
         build_graph(grp)
-    assert walks == [grp] and grp._involution_perms is None  # the walk was cut short
+    assert walks == [grp] and not hasattr(grp, "_involutions")  # the walk was cut short
     with pytest.raises(SpecError, match="more than 6"):
         build_graph(cached)  # the cached walk is held to the budget too
 
@@ -379,7 +388,7 @@ def test_a15_is_refused_before_the_walk(monkeypatch):
     with pytest.raises(SpecError, match=rf"A15 has more than {limit} involutions, .* "
                                         r"more than ADJACENCY_BUDGET \("):
         build_graph(grp)
-    assert walks == [] and grp._involution_perms is None
+    assert walks == [] and not hasattr(grp, "_involutions")
 
 
 # N-sets of 63 and 64 bits fill one uint64 word, 65 and 127 bits two
@@ -418,7 +427,7 @@ def test_two_word_rows_match_int_bitsets(monkeypatch, chunk, label):
     want = [
         sum(1 << j for j, b in enumerate(nbits) if a & b == 0) for a in nbits
     ]
-    assert list(E0Graph(grp, invs, grp.n_set_words([e.perm for e in invs])).adj) == want
+    assert list(E0Graph(invs).adj) == want
 
 
 @pytest.mark.parametrize("case", ["I2(65)", "A1xI2(64)", "337 r18"])
@@ -499,25 +508,22 @@ def _reference_rows(words):
 
 
 def _fresh_graph(case):
-    """An unbuilt graph: a finite group's, cut by length, in the walk's
-    vertex order or, for "<group> shuffled", in a seeded shuffle of it, or
-    a ball's ("<group> r<radius>"), uncut."""
+    """An unbuilt graph: a finite group's, in the walk's vertex order or,
+    for "<group> shuffled", in a seeded shuffle of it, or a ball's
+    ("<group> r<radius>")."""
     if case.endswith(" shuffled"):
         grp = group(case.split()[0])
         order = list(range(len(enumerate_involutions(grp))))
         random.Random(case).shuffle(order)
-        vertices = FiniteInvolutionSet(grp, enumerate_involutions(grp).perms[order])
-        return E0Graph(grp, vertices, vertices.words)
+        return E0Graph(FiniteInvolutionSet(grp, enumerate_involutions(grp).perms[order]))
     if " r" not in case:
-        grp = group(case)
-        invs = enumerate_involutions(grp)
-        return E0Graph(grp, invs, grp.n_set_words([e.perm for e in invs]))
+        return E0Graph(enumerate_involutions(group(case)))
     label, radius = case.split(" r")
     grp = (InfiniteCoxeterGroup(CoxeterMatrix([[1, 3, 7], [3, 1, 3], [7, 3, 1]])) if label == "337"
            else InfiniteCoxeterGroup(CoxeterMatrix([[1, 3, 3], [3, 1, 3], [3, 3, 1]])) if label == "A2~"
            else InfiniteCoxeterGroup.from_spec(label))
     g = involution_graph(grp, int(radius))
-    return E0Graph(grp, g.vertices, g.words, g.radius)
+    return E0Graph(g.vertices, g.radius)
 
 
 def _blocks_match_reference(g):
@@ -548,13 +554,30 @@ def test_large_row_blocks_match_a_product(label):
     _blocks_match_reference(_fresh_graph(label))
 
 
+def _positive_root_cut(g):
+    """The length cut of a finite group's graph from |Phi+|: row i has no
+    bit past the last vertex of length <= |Phi+| - l(i)."""
+    lengths = gr._lengths(g.words)
+    P = g.group.pos_count
+    last = np.full(P + 1, -1)  # last[l]: the last vertex of length <= l
+    np.maximum.at(last, lengths, np.arange(len(lengths)))
+    return np.maximum.accumulate(last)[P - lengths] + 1
+
+
+@pytest.mark.parametrize("case", [*SUITE, "E7", "B2xB2xB2xB2xB2", "D5 shuffled"])
+def test_reach_is_the_positive_root_cut(case):
+    # the highest root an N-set holds is the last of Phi+, as N(w0) = Phi+
+    g = _fresh_graph(case)
+    assert np.array_equal(gr._reach(g.words), _positive_root_cut(g))
+
+
 def test_length_cut_skips_columns(monkeypatch):
     # a length-1 row can meet all but w0 (length 63 = |Phi+|), and w0 none.
     # The column pass tables each (group, word) cell once and gathers under
     # two thirds of the (row, word) cells; the row blocks table under two
     # thirds of their (group, word) cells
     g = _fresh_graph("E7")
-    reach = g._reach(g.words)
+    reach = gr._reach(g.words)
     assert reach[0] == len(g) - 1 and reach[-1] == 0
     tabled, gathered = [], []
     subset_ors, ors = gr._subset_ors, gr._Kernel.ors
@@ -574,7 +597,7 @@ def test_length_cut_skips_columns(monkeypatch):
     assert sum(tabled) == G * W
     assert 0 < sum(gathered) < len(g) * W * 2 / 3
     tabled.clear()
-    for _ in gr._row_blocks(g.words, reach):
+    for _ in gr._row_blocks(g.words):
         pass
     full = -(-len(g) // gr._block_rows()) * G * W  # (group, word) cells uncut
     assert 0 < sum(tabled) < full * 2 / 3
@@ -621,7 +644,7 @@ def test_e7_builds_few_elements(monkeypatch):
 
 def test_rows_are_budgeted(monkeypatch, capsys):
     g = graph("A5")
-    fresh = E0Graph(g.group, g.vertices, g.words)  # 75 vertices, 2 words a row
+    fresh = E0Graph(g.vertices)  # 75 vertices, 2 words a row
     monkeypatch.setattr(gr, "ADJACENCY_BUDGET", 75 * 2 * 8 - 1)
     with pytest.raises(SpecError, match=r"A5 needs 1200 bytes, more than ADJACENCY_BUDGET \(1199"):
         fresh.rows
@@ -834,7 +857,9 @@ def test_rank_one_diameter_undefined():
 def test_split_hat_component_is_refused():
     g = graph("A3")
     w0 = g.vertices.index_of(g.group.longest_element())
-    bare = E0Graph(g.group, g.vertices, np.repeat(g.words[:, [w0]], len(g), axis=1))  # N = Phi+
+    vertices = copy.copy(g.vertices)
+    vertices.words = np.repeat(g.words[:, [w0]], len(g), axis=1)  # N = Phi+
+    bare = E0Graph(vertices)
     with pytest.raises(ValueError, match="expected one component away from w0, found 8"):
         components_and_diameter(bare)
 
@@ -1050,7 +1075,7 @@ def test_neighbour_sets_nest_along_descents():
         g = graph(label)
         for x in g.vertices:
             nx = g.neighborhood(x)
-            for i in grp.descent_sets(x)[1]:
+            for i in {i for i in grp.generators if x.perm[i - 1] >= grp.pos_count}:
                 r = grp.generator(i)
                 nr = g.neighborhood(r)
                 assert nx <= nr
@@ -1080,7 +1105,7 @@ def test_edges_match_bit_rows(label, chunk, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(gr, "CHUNK_BYTES", chunk)
     g = graph(label)
-    *_, order = g._export_order()
+    *_, order = g._export_order
     rank = np.argsort(order)  # the export id of each vertex
     # the bits of g.adj in export ids, upper triangle, row by row
     want = sorted((int(rank[i]), int(rank[j])) for i, row in enumerate(g.adj)

@@ -126,6 +126,20 @@ def test_ball_growth_series(group, radius, size):
     assert len(ball) == size(radius)
 
 
+def test_key_collisions_are_refused(monkeypatch):
+    # two involutions whose float keys agree would be merged by the vertex
+    # index, and the graph would have fewer vertices than N-set columns
+    real, n = infinite._mat_keys, len(infinite.walk_involutions(u(3), 4))
+
+    def colliding(mats):  # the first key twice, the last one never
+        keys = real(mats)
+        return keys[:1] + keys[:-1]
+
+    monkeypatch.setattr(infinite, "_mat_keys", colliding)
+    with pytest.raises(ToleranceError, match=f"keys collide: {n - 1} keys for {n}"):
+        infinite.involution_graph(u(3), 4)
+
+
 def test_involutions_match_exact_oracle():
     for group, radius in [(InfiniteCoxeterGroup(H337), 8),
                           (InfiniteCoxeterGroup(AFFINE_A2), 8),
